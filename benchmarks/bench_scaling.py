@@ -1,21 +1,25 @@
 """Multi-core scaling of the digest-shipped all-pairs sweep.
 
-The format-5 worker boundary ships process workers a ``(label,
-digest)`` manifest — a few dozen bytes per model — instead of the
-pickled corpus, and each worker rehydrates models from the shared
+``match_all(workers=N)`` runs the supervised coordinator over a
+temporary out-dir: every worker gets a ``(label, digest)`` manifest —
+a few dozen bytes per model — in its ``welcome`` instead of the
+pickled corpus, and rehydrates models from the sweep's
 :class:`~repro.core.artifact_store.ArtifactStore` on first touch.
 This benchmark records what that buys:
 
-* **pairs/s at 1/2/4/8 workers** over a store-backed digest-shipped
-  process sweep (the worker-count ladder is CLI-overridable), plus
-  the scaling efficiency ``rate(N) / (N * rate(1))``;
-* **the initargs payload**: the pickled manifest vs the pickled
-  corpus the pre-format-5 boundary shipped — the acceptance number
-  showing the per-worker data volume no longer grows with corpus
-  *content*, only with its length;
-* **the remote boundary** (the ``loopback`` row): bytes per framed
-  ``pair-done`` message and the round-trip latency of the socket
-  transport on loopback TCP vs a ``multiprocessing`` pipe — the
+* **pairs/s at 1/2/4/8 workers** — the in-process engine at 1, the
+  supervised coordinator with ``match_all``'s ``4 * N`` shards above
+  (the worker-count ladder is CLI-overridable), every rung against
+  one pre-populated store so it measures steady-state rehydration,
+  not the one-time spill — plus the scaling efficiency
+  ``rate(N) / (N * rate(1))``;
+* **the welcome payload**: the pickled manifest vs the pickled corpus
+  the pre-format-5 boundary shipped — the acceptance number showing
+  the per-worker data volume does not grow with corpus *content*,
+  only with its length;
+* **the worker boundary** (the ``loopback`` row): bytes per framed
+  ``pair-done`` message and its round-trip latency over the
+  ``socket.socketpair()`` local workers use vs loopback TCP — the
   per-message cost a sweep pays to move a worker off-host.
 
 Results land in the ``scaling`` section of ``BENCH_compose.json``
@@ -39,11 +43,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import pickle
 import platform
 import shutil
+import socket
 import sys
 import tempfile
 import threading
@@ -52,6 +56,7 @@ from pathlib import Path
 
 from repro.core import transport
 from repro.core.artifact_store import ArtifactStore, CorpusManifest
+from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 from repro.core.match_all import match_all
 from repro.corpus import generate_corpus
 
@@ -75,7 +80,7 @@ DEFAULT_GATE_EFFICIENCY = 0.15
 
 
 def payload_numbers(models, store_root) -> dict:
-    """Initargs bytes: manifest boundary vs pickled-corpus boundary."""
+    """Welcome bytes: manifest boundary vs pickled-corpus boundary."""
     labels = [model.id or f"model-{i}" for i, model in enumerate(models)]
     manifest = CorpusManifest.build(models, labels, ArtifactStore(store_root))
     manifest_bytes = len(pickle.dumps(manifest))
@@ -113,9 +118,9 @@ def _round_trip_seconds(client, server, message, messages) -> float:
 
 
 def loopback_numbers(models, messages=500) -> dict:
-    """The remote-worker boundary's per-message cost: bytes on the
-    wire for one framed ``pair-done``, and its round-trip latency over
-    loopback TCP vs the ``multiprocessing`` pipe local workers use."""
+    """The worker boundary's per-message cost: bytes on the wire for
+    one framed ``pair-done``, and its round-trip latency over the
+    socketpair local workers use vs loopback TCP."""
     matrix = match_all(models[:2])
     outcome = matrix.outcomes[0]
     message = ("pair-done", 0, outcome, (0, 1))
@@ -123,9 +128,11 @@ def loopback_numbers(models, messages=500) -> dict:
         pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     )
 
-    parent, child = multiprocessing.Pipe()
+    parent, child = (
+        transport.FramedConnection(end) for end in socket.socketpair()
+    )
     try:
-        pipe_rtt = _round_trip_seconds(parent, child, message, messages)
+        pair_rtt = _round_trip_seconds(parent, child, message, messages)
     finally:
         parent.close()
         child.close()
@@ -145,31 +152,43 @@ def loopback_numbers(models, messages=500) -> dict:
     return {
         "messages": messages,
         "pair_done_frame_bytes": frame_bytes,
-        "pipe_round_trip_us": round(pipe_rtt * 1e6, 1),
+        "socketpair_round_trip_us": round(pair_rtt * 1e6, 1),
         "tcp_round_trip_us": round(tcp_rtt * 1e6, 1),
-        "tcp_over_pipe": round(tcp_rtt / pipe_rtt, 2),
+        "tcp_over_socketpair": round(tcp_rtt / pair_rtt, 2),
     }
 
 
-def sweep_seconds(models, workers, store_root) -> float:
-    """One timed digest-shipped sweep against a pre-populated store
-    (``workers=1`` is the serial in-process reference)."""
+def sweep_seconds(models, workers, store_root, scratch) -> float:
+    """One timed sweep against the pre-populated store: ``workers=1``
+    is the serial in-process reference, ``workers > 1`` the
+    supervised coordinator ``match_all(workers=N)`` runs, over a fresh
+    out-dir whose artifact store is that same store."""
+    if workers == 1:
+        started = time.perf_counter()
+        matrix = match_all(models, store=store_root)
+        seconds = time.perf_counter() - started
+        assert matrix.pair_count > 0
+        return seconds
+    out_dir = Path(tempfile.mkdtemp(dir=scratch))
+    (out_dir / "artifacts").symlink_to(store_root, target_is_directory=True)
+    pairs = len(models) * (len(models) + 1) // 2
+    shards = min(4 * workers, pairs)
     started = time.perf_counter()
-    matrix = match_all(
+    report = SweepCoordinator(
         models,
-        workers=workers,
-        backend="process" if workers > 1 else "thread",
-        store=store_root,
-    )
+        shards=shards,
+        out_dir=out_dir,
+        fingerprint=f"bench-scaling:{len(models)}:{shards}",
+        config=CoordinatorConfig(workers=workers),
+        progress=False,
+    ).run()
     seconds = time.perf_counter() - started
-    assert matrix.pair_count > 0
+    assert report.exit_code == 0 and report.pair_count == pairs
     return seconds
 
 
 def measure(models, worker_ladder, rounds) -> dict:
-    """Best-of-``rounds`` pairs/s per worker count, one shared
-    pre-populated store so every rung measures steady-state
-    rehydration, not the one-time spill."""
+    """Best-of-``rounds`` pairs/s per worker count."""
     pairs = len(models) * (len(models) + 1) // 2
     scratch = Path(tempfile.mkdtemp(prefix="bench-scaling-"))
     results = {}
@@ -179,7 +198,7 @@ def measure(models, worker_ladder, rounds) -> dict:
         payload = payload_numbers(models, store_root)
         for workers in worker_ladder:
             best = min(
-                sweep_seconds(models, workers, store_root)
+                sweep_seconds(models, workers, store_root, scratch)
                 for _ in range(rounds)
             )
             results[workers] = {
@@ -261,17 +280,17 @@ def main(argv=None) -> int:
     emit("")
     emit("Digest-shipped sweep scaling")
     emit(
-        f"initargs payload: manifest {payload['manifest_bytes']} B vs "
+        f"welcome payload: manifest {payload['manifest_bytes']} B vs "
         f"pickled corpus {payload['pickled_corpus_bytes']} B "
         f"({payload['ratio']}x smaller, "
         f"{payload['bytes_per_model']['manifest']} B/model)"
     )
     emit(
-        f"remote boundary: pair-done frame "
+        f"worker boundary: pair-done frame "
         f"{loopback['pair_done_frame_bytes']} B; round trip "
         f"{loopback['tcp_round_trip_us']} us over loopback TCP vs "
-        f"{loopback['pipe_round_trip_us']} us over a pipe "
-        f"({loopback['tcp_over_pipe']}x, "
+        f"{loopback['socketpair_round_trip_us']} us over a socketpair "
+        f"({loopback['tcp_over_socketpair']}x, "
         f"mean of {loopback['messages']} round trips)"
     )
     emit(f"{'workers':>8} {'seconds':>9} {'pairs/s':>9} {'efficiency':>11}")

@@ -1,19 +1,20 @@
-"""Supervision overhead — the fault-tolerant coordinator vs the bare
-sharded engine.
+"""Supervision cost — the fault-tolerant coordinator vs the serial
+in-process sweep.
 
 The coordinator (:class:`repro.core.coordinator.SweepCoordinator`)
-adds leases, heartbeats, per-shard journal writes and worker IPC on
-top of the same :class:`~repro.core.match_all._PairEngine` the bare
-``match_all_sharded`` path runs.  All of that machinery sits *outside*
-the per-pair hot path — journal writes are per shard attempt,
-heartbeats ride the worker's idle poll — so a healthy sweep (no
-faults injected) must pay only a small constant tax.  The target,
-recorded in docs/perf.md, is **< 3 % wall-clock overhead** against a
-bare process pool driving the identical shard partition.
+adds leases, heartbeats, per-shard journal writes, the corpus
+manifest build and worker IPC on top of the same
+:class:`~repro.core.match_all._PairEngine` the in-process
+``match_all`` runs.  All of that machinery sits *outside* the per-pair
+hot path — journal writes are per shard attempt, heartbeats ride the
+worker's idle poll — so on W cores a healthy sweep (no faults
+injected) should approach ``1/W`` of the serial wall time.  The
+coordinator is the only parallel executor, so its reference is the
+serial engine: ``overhead = supervised / serial - 1`` (negative when
+the workers win), recorded in docs/perf.md.
 
-Both sides do identical work: W processes, K shards, same corpus,
-same artifact-store-free engine, and both write the per-shard CSVs.
-The delta is exactly the supervision machinery.
+Both sides compute the same pairs of the same corpus; the supervised
+side also writes its per-shard CSVs and artifact store.
 
 Run standalone::
 
@@ -24,7 +25,6 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import shutil
 import tempfile
 import time
@@ -32,8 +32,7 @@ from pathlib import Path
 
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
-from repro.core.match_all import match_all_sharded, write_outcomes_csv
-from repro.core.shards import shard_result_filename
+from repro.core.match_all import match_all
 from repro.corpus import generate_corpus
 
 from benchmarks._common import emit, write_csv
@@ -45,46 +44,11 @@ from benchmarks._common import emit, write_csv
 TARGET_OVERHEAD = 0.03
 GATE_OVERHEAD = 3 * TARGET_OVERHEAD
 
-_CORPUS = None
 
-
-def _pool_init(models):
-    global _CORPUS
-    _CORPUS = models
-
-
-def _bare_shard(payload):
-    shard_id, shard_count, out_dir = payload
-    matrix = match_all_sharded(
-        _CORPUS,
-        shards=shard_count,
-        shard_id=shard_id,
-        workers=1,
-        # The same shared artifact store the supervised sweep (and the
-        # unsupervised CLI sharded sweep) wires in — both sides pay
-        # identical spill/rehydrate costs, so the delta is exactly
-        # the supervision machinery.
-        store=Path(out_dir) / "artifacts",
-    )
-    write_outcomes_csv(
-        Path(out_dir) / shard_result_filename(shard_id, shard_count),
-        matrix.outcomes,
-        deterministic=True,
-    )
-    return len(matrix.outcomes)
-
-
-def bare_sweep(models, shards, workers, out_dir) -> float:
-    """W processes over K shards with no supervision: the floor."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+def serial_sweep(models) -> float:
+    """The in-process engine over every pair: the reference."""
     started = time.perf_counter()
-    with multiprocessing.Pool(
-        workers, initializer=_pool_init, initargs=(models,)
-    ) as pool:
-        pool.map(
-            _bare_shard,
-            [(shard_id, shards, str(out_dir)) for shard_id in range(shards)],
-        )
+    match_all(models)
     return time.perf_counter() - started
 
 
@@ -104,16 +68,14 @@ def supervised_sweep(models, shards, workers, out_dir) -> float:
 
 
 def measure(models, shards, workers, rounds):
-    """Best-of-``rounds`` wall time for each side, fresh dirs per
-    round so neither path inherits the other's warm page cache
-    entries or a resumable journal."""
-    bare = supervised = float("inf")
+    """Best-of-``rounds`` wall time for each side, a fresh out-dir per
+    supervised round so no run inherits a resumable journal or a warm
+    artifact store."""
+    serial = supervised = float("inf")
     for _ in range(rounds):
         scratch = Path(tempfile.mkdtemp(prefix="bench-supervise-"))
         try:
-            bare = min(
-                bare, bare_sweep(models, shards, workers, scratch / "bare")
-            )
+            serial = min(serial, serial_sweep(models))
             supervised = min(
                 supervised,
                 supervised_sweep(
@@ -122,7 +84,7 @@ def measure(models, shards, workers, rounds):
             )
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
-    return bare, supervised
+    return serial, supervised
 
 
 def main(argv=None) -> int:
@@ -149,16 +111,16 @@ def main(argv=None) -> int:
         f"(best of {args.rounds})"
     )
 
-    bare, supervised = measure(
+    serial, supervised = measure(
         models, args.shards, args.workers, args.rounds
     )
-    overhead = supervised / bare - 1
+    overhead = supervised / serial - 1
 
     emit("")
-    emit("Supervised sweep overhead (healthy run, no faults)")
+    emit("Supervised sweep vs serial (healthy run, no faults)")
     emit(f"{'path':>24} {'seconds':>9} {'pairs/s':>9}")
     for label, seconds in (
-        ("bare process pool", bare),
+        ("serial match_all", serial),
         ("SweepCoordinator", supervised),
     ):
         emit(f"{label:>24} {seconds:>9.3f} {pairs / seconds:>9.1f}")
@@ -169,7 +131,7 @@ def main(argv=None) -> int:
     write_csv(
         "supervised_overhead.csv",
         ["path", "seconds"],
-        [("bare", f"{bare:.6f}"), ("supervised", f"{supervised:.6f}"),
+        [("serial", f"{serial:.6f}"), ("supervised", f"{supervised:.6f}"),
          ("overhead", f"{overhead:.4f}")],
     )
 

@@ -37,10 +37,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="fan pairs out onto a worker pool",
-    )
-    parser.add_argument(
-        "--backend", choices=["thread", "process"], default="thread"
+        help="run the sweep on N supervised worker processes",
     )
     args = parser.parse_args(argv)
 
@@ -57,9 +54,7 @@ def main(argv=None) -> int:
     print(f"composing {pairs} pairs in ascending size order ...")
 
     started = time.perf_counter()
-    results = fig8_sweep(
-        corpus, workers=args.workers, backend=args.backend
-    )
+    results = fig8_sweep(corpus, workers=args.workers)
     elapsed = time.perf_counter() - started
 
     name = "fig8_full.csv" if args.full else "fig8_sampled.csv"

@@ -14,13 +14,13 @@ merges any number of models in one call, and
 :class:`~repro.core.session.ComposeSession` keeps the pattern cache,
 synonym table and per-input artifacts warm across repeated merges.
 The merge *order* is pluggable (``plan="fold" | "tree" | "greedy"``;
-see :mod:`repro.core.plan`), and with ``workers=N`` the independent
-sibling merges of a ``tree`` plan execute on a worker pool (thread or
-process backend) with results identical to serial execution.  Corpus
-sweeps go through :func:`~repro.core.match_all.match_all`, which
-batches the paper's all-pairs Figure 8 workload behind shared
-per-model artifacts.  ``docs/perf.md`` covers choosing a plan,
-``workers`` and a backend.
+see :mod:`repro.core.plan`); composition runs serially in process.
+Corpus sweeps go through :func:`~repro.core.match_all.match_all`,
+which batches the paper's all-pairs Figure 8 workload behind shared
+per-model artifacts; ``workers=N`` runs it on N local processes under
+the supervised :class:`~repro.core.coordinator.SweepCoordinator`,
+with rows identical to the in-process sweep.  ``docs/perf.md`` covers
+choosing a plan and ``workers``.
 
 Quickstart
 ----------

@@ -3,13 +3,12 @@
 Subcommands::
 
     sbmlcompose merge a.xml b.xml [c.xml ...] -o merged.xml \
-        [--plan fold|tree|greedy] [--workers N] [--backend thread|process] \
-        [--log merge.log]
+        [--plan fold|tree|greedy] [--log merge.log]
     sbmlcompose sweep a.xml b.xml c.xml [...] [--workers N] [-o pairs.csv] \
         [--shards K [--shard-id I] --out-dir DIR [--resume]] \
         [--supervise [--worker-timeout S] [--max-retries N] \
          [--poison-threshold K] [--chaos FILE] [--listen HOST:PORT]] \
-        [--deterministic] [--store-max-entries N] [--no-digest-shipping]
+        [--deterministic] [--store-max-entries N]
     sbmlcompose worker --connect HOST:PORT [--store DIR] [--chaos FILE]
     sbmlcompose sweep-status --out-dir DIR
     sbmlcompose sweep-merge --out-dir DIR [-o merged.csv]
@@ -31,14 +30,15 @@ two *or more* models, composes them through one
 merge plan, and writes the warning log to a file exactly as §3
 describes ("writes a warning to a log file informing the user ... of
 decisions taken") — now including per-step summaries and per-component
-provenance.  ``--workers`` executes independent sibling merges of a
-``tree`` plan concurrently; the output is identical either way.
+provenance.  Composition runs serially in process.
 
 ``sweep`` is the paper's Figure 8 experiment as a command: compose
 every pair of the given models through the batched
 :func:`~repro.core.match_all.match_all` engine and report what united,
-what conflicted and how fast the pairs went.  With ``--shards K`` the
-pair matrix is partitioned deterministically
+what conflicted and how fast the pairs went.  ``--workers N`` (N > 1)
+runs the sweep under the supervised coordinator described below, over
+a temporary out-dir; the rows are the in-process sweep's.  With
+``--shards K`` the pair matrix is partitioned deterministically
 (:func:`~repro.core.shards.partition_pairs`) and each shard's results
 land as a separate CSV under ``--out-dir``, journaled by a
 :class:`~repro.core.shards.SweepCheckpoint` so a killed sweep resumes
@@ -46,7 +46,8 @@ land as a separate CSV under ``--out-dir``, journaled by a
 are spilled to a content-addressed store under the same directory and
 shared by every shard.  Pass ``--shard-id I`` to compute exactly one
 shard (e.g. one shard per machine); omit it to run all shards
-sequentially, each one checkpointed.  ``sweep-merge`` unions the shard
+sequentially, each one checkpointed, in process (``--workers N`` with
+N > 1 needs ``--supervise`` here).  ``sweep-merge`` unions the shard
 files back into one report that is byte-identical to an unsharded
 ``sweep --deterministic`` run of the same corpus.  ``--prescreen``
 routes the sweep through the vectorized structural prescreen
@@ -59,30 +60,29 @@ what the full run would have written.
 hold journal *leases* on their shards, heartbeat while idle, are
 killed and their shards stolen when silent past ``--worker-timeout``,
 and pairs that repeatedly kill their worker are quarantined to
-``quarantine.json`` so the sweep completes without them (exit status
-3 distinguishes that degraded completion).  Multi-worker process
-sweeps (plain pool and supervised alike) are **digest-shipped** by
-default: the corpus is spilled to the artifact store once and workers
-receive only a :class:`~repro.core.artifact_store.CorpusManifest` of
-``(label, digest)`` pairs, rehydrating each model from its format-5
-store entry on first touch instead of unpickling the whole corpus at
-spawn; ``--no-digest-shipping`` restores the old boundary.  With
-``--store-max-entries`` the active corpus's digests are pinned, so
-post-run eviction can never drop an entry a worker still rehydrates
-from.  ``sweep-status`` reports
-leases, retry/steal counters and the quarantine alongside per-shard
-completion; ``store verify`` audits the artifact store, moving
-corrupt blobs into its ``corrupt/`` subdirectory.  ``--chaos FILE``
-arms the deterministic fault-injection harness
-(:mod:`repro.core.chaos`) — how CI's chaos smoke drives worker
-crashes, stalls and torn journal writes reproducibly.
+``quarantine.json`` so the sweep completes without them (exit status 3
+distinguishes that degraded completion).  Supervised sweeps are
+**digest-shipped**: the corpus is spilled to the artifact store once
+and every worker receives only a
+:class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
+digest)`` pairs, rehydrating each model from its format-5 store entry
+on first touch.  With ``--store-max-entries`` the active corpus's
+digests are pinned, so post-run eviction can never drop an entry a
+worker still rehydrates from.  ``sweep-status`` reports leases,
+retry/steal counters and the quarantine alongside per-shard
+completion; ``store verify`` audits the artifact store, moving corrupt
+blobs into its ``corrupt/`` subdirectory.  ``--chaos FILE`` arms the
+deterministic fault-injection harness (:mod:`repro.core.chaos`) — how
+CI's chaos smoke drives worker crashes, stalls and torn journal writes
+reproducibly.
 
-``sweep --supervise --listen HOST:PORT`` additionally accepts
-**remote workers** — ``sbmlcompose worker --connect HOST:PORT`` run
-on any machine — over the framed socket transport
-(:mod:`repro.core.transport`).  Remote workers speak the same
-announce-before-compute protocol as local ones and join the same
-lease/steal/quarantine machinery; a worker without the shared
+``sweep --supervise --listen HOST:PORT`` additionally accepts **remote
+workers** — ``sbmlcompose worker --connect HOST:PORT`` run on any
+machine — over the framed socket transport
+(:mod:`repro.core.transport`).  Remote workers run the same worker
+function as local ones (which use the same handshake over a
+socketpair) and join the same lease/steal/quarantine machinery; a bare
+``--listen :PORT`` binds loopback only.  A worker without the shared
 filesystem rehydrates store entries through the in-protocol
 digest-fetch request and caches them in its ``--store`` directory (a
 private temporary store by default).  ``--workers 0 --listen ...``
@@ -130,11 +130,7 @@ from repro.core.match_all import (
     write_outcomes_csv,
 )
 from repro.core.signature import ModelSignature, Prescreen
-from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    ComposeOptions,
-)
+from repro.core.options import ComposeOptions
 from repro.core.plan import plan_names
 from repro.core import chaos
 from repro.core.coordinator import (
@@ -193,17 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="fail on the first conflict instead of warning",
     )
-    merge.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker pool for independent sibling merges of a tree "
-             "plan (default: 1, serial; result is identical)",
-    )
-    merge.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
-        help="worker pool backend (process: multi-core scaling for "
-             "large corpora at the cost of pickling models)",
-    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -221,10 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-self", action="store_true",
         help="skip composing each model with itself",
     )
-    sweep.add_argument("--workers", type=int, default=1, metavar="N")
     sweep.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes (default 1: in process).  N > 1 runs "
+             "the supervised coordinator; with --shards or --out-dir "
+             "it needs --supervise.  0 only with --supervise --listen",
     )
     sweep.add_argument(
         "--semantics",
@@ -273,13 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "are pinned — digest-shipped workers rehydrate from them",
     )
     sweep.add_argument(
-        "--no-digest-shipping", action="store_true",
-        help="ship the full pickled corpus to process workers instead "
-             "of a (label, digest) manifest they rehydrate from the "
-             "artifact store (the pre-format-5 worker boundary; "
-             "outcomes are identical either way)",
-    )
-    sweep.add_argument(
         "--prescreen", action="store_true",
         help="skip pairs the structural prescreen proves trivial and "
              "synthesize their rows (byte-identical to the full sweep)",
@@ -324,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "machinery as local workers.  With --workers 0 the "
              "coordinator supervises remote workers exclusively.  "
              "Port 0 binds an ephemeral port (printed at startup).  "
-             "The protocol is pickle-based — bind loopback or a "
-             "trusted network only",
+             "A bare :PORT binds 127.0.0.1; the protocol is "
+             "pickle-based, so listen on all interfaces (0.0.0.0:PORT) "
+             "only on a trusted network",
     )
 
     worker = sub.add_parser(
@@ -447,11 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, default=None, metavar="DIR",
         help="artifact store for query/candidate artifacts",
     )
-    corpus_query.add_argument("--workers", type=int, default=1, metavar="N")
-    corpus_query.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
-    )
 
     sweep_status = sub.add_parser(
         "sweep-status",
@@ -530,13 +505,7 @@ def _cmd_merge(args) -> int:
     )
     if args.strict:
         options = options.strict()
-    session = ComposeSession(options)
-    result = session.compose_all(
-        models,
-        plan=args.plan,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    result = ComposeSession(options).compose_all(models, plan=args.plan)
     text = write_sbml(result.model)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
@@ -617,7 +586,6 @@ def _cmd_sweep_supervised(args, models, options) -> int:
         include_self=not args.no_self,
         resume=args.resume,
         prebuilt_indexes=not args.fresh_indexes,
-        digest_shipping=not args.no_digest_shipping,
         listen=args.listen,
         local_workers=args.workers if args.listen is not None else None,
     )
@@ -684,6 +652,14 @@ def _cmd_sweep_sharded(args, models, options) -> int:
         return 2
     if args.supervise:
         return _cmd_sweep_supervised(args, models, options)
+    if args.workers > 1:
+        print(
+            "error: --shards/--out-dir sweeps run their shards in "
+            "process; add --supervise to run them on --workers "
+            f"{args.workers}",
+            file=sys.stderr,
+        )
+        return 2
     checkpoint = SweepCheckpoint(
         args.out_dir,
         fingerprint=_sweep_fingerprint(models, args),
@@ -711,13 +687,10 @@ def _cmd_sweep_sharded(args, models, options) -> int:
             options,
             shards=args.shards,
             shard_id=shard_id,
-            workers=args.workers,
-            backend=args.backend,
             include_self=not args.no_self,
             store=store,
             prebuilt_indexes=not args.fresh_indexes,
             prescreen=args.prescreen or None,
-            digest_shipping=not args.no_digest_shipping,
         )
         name = _shard_file(shard_id, args.shards)
         write_outcomes_csv(args.out_dir / name, matrix.outcomes)
@@ -776,13 +749,8 @@ def _cmd_sweep(args) -> int:
     if args.listen is not None and not args.supervise:
         print("error: --listen needs --supervise", file=sys.stderr)
         return 2
-    if args.listen is not None and args.no_digest_shipping:
-        print(
-            "error: --listen needs digest shipping (remote workers "
-            "rehydrate the corpus from the manifest); drop "
-            "--no-digest-shipping",
-            file=sys.stderr,
-        )
+    if args.workers < 0:
+        print("error: --workers must not be negative", file=sys.stderr)
         return 2
     models = [read_sbml_file(path).model for path in args.models]
     options = ComposeOptions(semantics=args.semantics)
@@ -818,11 +786,9 @@ def _cmd_sweep_unsharded(args, models, options) -> int:
         models,
         options,
         workers=args.workers,
-        backend=args.backend,
         include_self=not args.no_self,
         prebuilt_indexes=not args.fresh_indexes,
         prescreen=args.prescreen or None,
-        digest_shipping=not args.no_digest_shipping,
     )
     if args.output is not None:
         write_outcomes_csv(
@@ -1133,14 +1099,7 @@ def _cmd_corpus_query(args) -> int:
     if args.linear is not None:
         labels = [path.stem for path in args.linear]
         candidates = [read_sbml_file(path).model for path in args.linear]
-        matrix = match_query(
-            query_model,
-            candidates,
-            options,
-            workers=args.workers,
-            backend=args.backend,
-            store=store,
-        )
+        matrix = match_query(query_model, candidates, options, store=store)
         rows = [
             replace(outcome, left=query_label, right=labels[outcome.j - 1])
             for outcome in matrix.outcomes
@@ -1192,8 +1151,6 @@ def _cmd_corpus_query(args) -> int:
                 query_model,
                 [candidate for _, candidate in loaded],
                 options,
-                workers=args.workers,
-                backend=args.backend,
                 store=store,
             )
             rows.extend(

@@ -88,8 +88,6 @@ from repro.core.index import (
 )
 from repro.core.mapping import IdMapping
 from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
     CONFLICTS_ERROR,
     CONFLICTS_WARN,
     INDEX_HASH,
@@ -108,8 +106,6 @@ from repro.core.plan import (
     GreedySimilarityPlan,
     LeftFoldPlan,
     MergePlan,
-    PlanCosts,
-    estimate_costs,
     make_plan,
     plan_names,
 )
@@ -181,8 +177,6 @@ __all__ = [
     "Duplicate",
     "IdMapping",
     "MergePlan",
-    "PlanCosts",
-    "estimate_costs",
     "LeftFoldPlan",
     "BalancedTreePlan",
     "GreedySimilarityPlan",
@@ -208,6 +202,4 @@ __all__ = [
     "INDEX_SORTED",
     "CONFLICTS_WARN",
     "CONFLICTS_ERROR",
-    "BACKEND_THREAD",
-    "BACKEND_PROCESS",
 ]

@@ -44,22 +44,25 @@ can inject on demand:
   reported (:meth:`MatchMatrix.summary`, ``sweep-status``), and
   distinguished by exit code :data:`EXIT_QUARANTINED`.
 
-Workers talk to the coordinator over per-worker duplex pipes polled
+Every worker talks to the coordinator over one framed socket
+connection (:class:`~repro.core.transport.FramedConnection`), polled
 with :func:`multiprocessing.connection.wait` — deliberately *not* a
 ``multiprocessing.Queue``, whose background feeder thread can lose a
-message when its process is SIGKILLed right after ``put``; a pipe
+message when its process is SIGKILLed right after ``put``; a framed
 ``send`` is synchronous, so every message the coordinator acts on was
-fully written before the worker could die.
-
-Workers need not be local: with ``listen=(host, port)`` the
-coordinator also accepts **remote workers** (``sbmlcompose worker
---connect HOST:PORT``) over the framed socket transport
-(:mod:`repro.core.transport`).  A socket worker speaks the *same*
-announce-before-compute tuples as a pipe worker and sits behind the
-same :class:`_WorkerHandle`, so leases, heartbeat timeouts, work
-stealing, retry budgets and quarantine apply unchanged — a vanished
-TCP peer reads as EOF exactly like a dead child process.  A remote
-worker without the shared filesystem rehydrates missing store entries
+fully written before the worker could die.  A local worker is a child
+process on one end of a ``socket.socketpair()``; with
+``listen=(host, port)`` the coordinator also accepts **remote
+workers** (``sbmlcompose worker --connect HOST:PORT``) over TCP.  Both
+kinds run the same worker function: the ``hello``/``welcome``
+handshake delivers the worker's name, the compose options, the corpus
+manifest, the heartbeat interval and ``prebuilt_indexes``, and then
+the same announce-before-compute loop runs behind the same
+:class:`_WorkerHandle`, so leases, heartbeat timeouts, work stealing,
+retry budgets and quarantine apply unchanged — a vanished TCP peer
+reads as EOF exactly like a dead child process.  Each worker
+rehydrates the corpus from the sweep's artifact store; a remote
+worker without the shared filesystem fetches missing store entries
 through the in-protocol **digest-fetch** request (``("fetch",
 digest)`` answered by ``("artifact", digest, bytes)``), caching them
 in its own local store.
@@ -93,7 +96,6 @@ from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
     _PairEngine,
-    _build_manifest,
     write_outcomes_csv,
 )
 from repro.core.options import ComposeOptions
@@ -106,6 +108,7 @@ from repro.core.shards import (
     partition_pairs,
     shard_result_filename,
 )
+from repro.errors import ReproError
 from repro.sbml.model import Model
 
 __all__ = [
@@ -313,40 +316,16 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(
-    conn,
-    worker_name: str,
-    options: Optional[ComposeOptions],
-    models: Optional[List[Model]],
-    labels: Optional[List[str]],
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
-    heartbeat_interval: float,
-    manifest: Optional[CorpusManifest] = None,
-) -> None:
-    """One supervised worker: build the shared-artifact engine, then
-    loop — compute assigned shards pair by pair, announce each pair
-    *before* computing it (so a death is attributable), heartbeat when
-    idle.  Every ``send`` is synchronous; a SIGKILL one instruction
-    later cannot retract a message the coordinator already has.
-
-    Digest-shipped workers get ``manifest`` and ``models=None``,
-    rehydrating each model from the out-dir artifact store on first
-    touch; a rehydrate miss inside a pair surfaces as an ordinary
-    pair error, so the coordinator's strike/quarantine machinery —
-    not a silent crash loop — absorbs a store that lost entries."""
-    engine = _PairEngine(
-        options, models, labels, store_root, prebuilt_indexes, manifest
-    )
-    _worker_loop(conn, worker_name, engine, heartbeat_interval)
-
-
 def _worker_loop(conn, worker_name, engine, heartbeat_interval) -> bool:
-    """The announce-before-compute protocol loop, shared verbatim by
-    local pipe workers and remote socket workers — ``conn`` only needs
-    the pipe surface (``send`` / ``recv`` / ``poll``), which the
-    framed socket connection provides.  Returns ``True`` after a clean
-    ``stop``, ``False`` when the coordinator vanished."""
+    """The announce-before-compute protocol loop every worker runs:
+    compute assigned shards pair by pair, announce each pair *before*
+    computing it (so a death is attributable), heartbeat when idle.
+    Every ``send`` is synchronous; a SIGKILL one instruction later
+    cannot retract a message the coordinator already has.  A rehydrate
+    miss inside a pair surfaces as an ordinary pair error, so the
+    strike/quarantine machinery — not a silent crash loop — absorbs a
+    store that lost entries.  Returns ``True`` after a clean ``stop``,
+    ``False`` when the coordinator vanished."""
     try:
         conn.send(("ready", worker_name))
         while True:
@@ -399,16 +378,16 @@ def _worker_loop(conn, worker_name, engine, heartbeat_interval) -> bool:
                     conn.send(("pair-done", shard_id, outcome, nxt))
             conn.send(("shard-done", shard_id))
     except (EOFError, OSError, KeyboardInterrupt):
-        # The coordinator is gone (pipe EOF, broken pipe, or any
+        # The coordinator is gone (EOF, broken pipe, or any
         # socket-transport failure); nothing useful left to do.
         return False
 
 
 class _FetchChannel:
-    """A remote worker's view of its coordinator connection.
+    """A worker's view of its coordinator connection.
 
-    Presents the pipe surface to :func:`_worker_loop` while also
-    serving the engine's digest-fetch callback: a fetch sends
+    Presents ``send`` / ``recv`` / ``poll`` to :func:`_worker_loop`
+    while also serving the engine's digest-fetch callback: a fetch sends
     ``("fetch", digest)`` and reads until the matching ``artifact``
     reply, parking any interleaved coordinator messages (a ``stop``,
     say) in a queue the main loop drains first.
@@ -445,6 +424,59 @@ class _FetchChannel:
             self._parked.append(message)
 
 
+def _serve(
+    conn: transport.FramedConnection,
+    store_dir: Union[str, Path],
+    *,
+    has_store: bool,
+    log,
+) -> bool:
+    """The worker function, local or remote: handshake, build the
+    digest-shipped engine from the ``welcome``, run the worker loop.
+    Returns ``True`` after a clean ``stop``."""
+    try:
+        welcome = transport.client_handshake(
+            conn,
+            host=_socket.gethostname(),
+            pid=os.getpid(),
+            has_store=has_store,
+        )
+    except transport.HandshakeError as exc:
+        log(f"handshake failed: {exc}")
+        return False
+    name = welcome["name"]
+    manifest = welcome["manifest"]
+    channel = _FetchChannel(conn)
+    engine = _PairEngine(
+        welcome.get("options"),
+        None,
+        None,
+        str(store_dir),
+        welcome.get("prebuilt_indexes", True),
+        manifest,
+        fetch=channel.fetch,
+    )
+    log(
+        f"joined as {name} ({len(manifest)} manifest entr"
+        f"{'y' if len(manifest) == 1 else 'ies'}, local store {store_dir})"
+    )
+    clean = _worker_loop(
+        channel, name, engine, welcome.get("heartbeat_interval", 5.0)
+    )
+    log("stopped" if clean else "connection to coordinator lost")
+    return clean
+
+
+def _local_worker(sock: _socket.socket, store_root: str) -> None:
+    """Entry point of a local worker process: the remote worker's
+    function over one end of a socketpair, on the sweep's own store."""
+    conn = transport.FramedConnection(sock)
+    try:
+        _serve(conn, store_root, has_store=True, log=lambda message: None)
+    finally:
+        conn.close()
+
+
 def run_remote_worker(
     host: str,
     port: int,
@@ -477,41 +509,8 @@ def run_remote_worker(
         log(str(exc))
         return 2
     try:
-        try:
-            welcome = transport.client_handshake(
-                conn,
-                host=_socket.gethostname(),
-                pid=os.getpid(),
-                has_store=cleanup is None,
-            )
-        except transport.HandshakeError as exc:
-            log(f"handshake failed: {exc}")
-            return 2
-        name = welcome["name"]
-        manifest = welcome.get("manifest")
-        if manifest is None:
-            log("coordinator offered no corpus manifest; cannot work")
-            return 2
-        channel = _FetchChannel(conn)
-        engine = _PairEngine(
-            welcome.get("options"),
-            None,
-            None,
-            str(store_dir),
-            welcome.get("prebuilt_indexes", True),
-            manifest,
-            fetch=channel.fetch,
-        )
-        log(
-            f"connected to {host}:{port} as {name} "
-            f"({len(manifest)} manifest entr"
-            f"{'y' if len(manifest) == 1 else 'ies'}, "
-            f"local store {store_dir})"
-        )
-        clean = _worker_loop(
-            channel, name, engine, welcome.get("heartbeat_interval", 5.0)
-        )
-        log("stopped" if clean else "connection to coordinator lost")
+        log(f"connected to {host}:{port}")
+        clean = _serve(conn, store_dir, has_store=cleanup is None, log=log)
         return 0 if clean else 2
     finally:
         conn.close()
@@ -533,11 +532,17 @@ class _WorkerHandle:
     the two uniformly: liveness is :meth:`is_alive`, reclamation is
     :meth:`kill`, and death shows up as ``eof`` either way."""
 
-    def __init__(self, name: str, process, conn, *, remote=False, host=""):
+    def __init__(
+        self, name: str, process, conn, *, remote=False, host="", welcomed=True
+    ):
         self.name = name
         self.process = process
         self.conn = conn
         self.remote = remote
+        #: Whether the ``hello``/``welcome`` handshake is done.  A local
+        #: child's handshake runs once its socket becomes readable; a
+        #: remote worker's ran at accept.
+        self.welcomed = welcomed
         #: Host component for the journal lease holder (local workers
         #: record the coordinator's own hostname; remote workers the
         #: hostname they announced in the handshake).
@@ -549,7 +554,7 @@ class _WorkerHandle:
         #: Pair announced started but not yet finished — the strike
         #: target if this worker dies.
         self.current_pair: Optional[Pair] = None
-        #: Set once the pipe hit EOF (the process is gone).
+        #: Set once the connection hit EOF (the worker is gone).
         self.eof = False
         #: Why the coordinator killed it, if it did.
         self.kill_reason: Optional[str] = None
@@ -640,7 +645,6 @@ class SweepCoordinator:
         resume: bool = False,
         prebuilt_indexes: bool = True,
         progress: bool = True,
-        digest_shipping: bool = True,
         listen: Optional[Union[str, Tuple[str, int]]] = None,
         local_workers: Optional[int] = None,
     ):
@@ -656,10 +660,9 @@ class SweepCoordinator:
         self.resume = resume
         self.prebuilt_indexes = prebuilt_indexes
         self.progress = progress
-        self.digest_shipping = digest_shipping
-        #: Built at the top of :meth:`run` (when digest shipping is on
-        #: and there is work); ``None`` means workers receive the
-        #: pickled corpus, the pre-format-5 boundary.
+        #: The ``(label, digest)`` corpus manifest every worker
+        #: rehydrates from, built at the top of :meth:`run` when there
+        #: is work (``None`` until then).
         self.manifest: Optional[CorpusManifest] = None
         self.labels = stable_labels(self.models)
         self.checkpoint = SweepCheckpoint(
@@ -678,7 +681,7 @@ class SweepCoordinator:
         self._mp = mp.get_context()
         self._hostname = _socket.gethostname()
         self._store: Optional[ArtifactStore] = None
-        #: Local pipe workers to keep alive; defaults to the config's
+        #: Local workers to keep alive; defaults to the config's
         #: worker count.  Zero is valid only in listen mode — a
         #: coordinator that supervises remote workers exclusively.
         self.local_workers = (
@@ -754,16 +757,9 @@ class SweepCoordinator:
                 f"resuming: {len(completed)} shard(s) already complete, "
                 f"{len(self._states)} to go"
             )
-        if self.digest_shipping and self._states:
-            # Populate the out-dir store up front so every worker —
-            # including respawns after a kill — rehydrates the corpus
-            # from format-5 entries instead of unpickling it through
-            # its spawn args.  A store failure logs and degrades to
-            # the pickled-corpus boundary (manifest stays None).
-            self.manifest = _build_manifest(
-                self.models, self.labels, self._store_root()
-            )
         try:
+            if self._states:
+                self._build_manifest()
             while any(
                 state.status != "done" for state in self._states.values()
             ):
@@ -816,6 +812,22 @@ class SweepCoordinator:
     def _store_root(self) -> str:
         return str(self.out_dir / "artifacts")
 
+    def _build_manifest(self) -> None:
+        """Populate the out-dir store up front so every worker —
+        including respawns after a kill — rehydrates the corpus from
+        format-5 entries.  A store that cannot be written fails the
+        sweep here, before any worker starts."""
+        try:
+            self.manifest = CorpusManifest.build(
+                self.models, self.labels, self._artifact_store()
+            )
+        except (OSError, ReproError) as exc:
+            raise CoordinatorError(
+                f"cannot populate the sweep's artifact store at "
+                f"{self._store_root()} ({exc}); workers rehydrate the "
+                f"corpus from it, so the sweep cannot start"
+            ) from exc
+
     def _artifact_store(self) -> ArtifactStore:
         if self._store is None:
             self._store = ArtifactStore(self._store_root())
@@ -829,31 +841,28 @@ class SweepCoordinator:
         ]
 
     def _spawn_worker(self) -> _WorkerHandle:
+        """Start a local worker on one end of a socketpair.  The child
+        gets only its socket and the store root; everything else
+        arrives in the ``welcome`` once its ``hello`` is read."""
         self._serial += 1
         name = f"w{self._serial}"
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
+        parent_sock, child_sock = _socket.socketpair()
         process = self._mp.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                name,
-                self.options,
-                None if self.manifest is not None else self.models,
-                None if self.manifest is not None else self.labels,
-                self._store_root(),
-                self.prebuilt_indexes,
-                self.config.effective_heartbeat,
-                self.manifest,
-            ),
+            target=_local_worker,
+            args=(child_sock, self._store_root()),
             name=f"sweep-{name}",
             daemon=True,
         )
         process.start()
-        # Close our copy of the child end so the pipe reaches EOF the
-        # instant the worker dies.
-        child_conn.close()
+        # Close our copy of the child end so the connection reaches EOF
+        # the instant the worker dies.
+        child_sock.close()
         handle = _WorkerHandle(
-            name, process, parent_conn, host=self._hostname
+            name,
+            process,
+            transport.FramedConnection(parent_sock),
+            host=self._hostname,
+            welcomed=False,
         )
         self._workers[name] = handle
         return handle
@@ -944,6 +953,7 @@ class SweepCoordinator:
             worker
             for worker in self._workers.values()
             if worker.assignment is None
+            and worker.welcomed
             and not worker.eof
             and worker.kill_reason is None
             and worker.is_alive()
@@ -1018,7 +1028,29 @@ class SweepCoordinator:
             self._accept_remote()
         for worker in list(self._workers.values()):
             if worker.conn in ready_set and not worker.eof:
-                self._drain(worker)
+                if not worker.welcomed:
+                    self._welcome(worker)
+                if worker.welcomed:
+                    self._drain(worker)
+
+    def _welcome(self, worker: _WorkerHandle) -> None:
+        """A local child's ``hello`` is readable: answer it with the
+        ``welcome`` that carries its name, options and manifest."""
+        try:
+            transport.server_handshake(
+                worker.conn,
+                name=worker.name,
+                options=self.options,
+                manifest=self.manifest,
+                heartbeat_interval=self.config.effective_heartbeat,
+                prebuilt_indexes=self.prebuilt_indexes,
+            )
+        except (transport.TransportError, EOFError, OSError) as exc:
+            worker.kill_reason = f"failed handshake: {exc}"
+            worker.kill()
+            worker.eof = True
+            return
+        worker.welcomed = True
 
     def _accept_remote(self) -> None:
         """One pending remote-worker connection: accept, handshake,
@@ -1033,27 +1065,6 @@ class SweepCoordinator:
             self._log(
                 f"chaos: dropped incoming worker connection from "
                 f"{addr[0]}:{addr[1]}"
-            )
-            conn.close()
-            return
-        if self.manifest is None:
-            # Remote workers have no pickled-corpus fallback: without
-            # a digest manifest there is nothing to hand them.
-            try:
-                if conn.poll(5.0):
-                    conn.recv()  # consume the hello
-                conn.send(
-                    (
-                        "reject",
-                        "digest shipping unavailable on this "
-                        "coordinator (no corpus manifest)",
-                    )
-                )
-            except (transport.TransportError, EOFError, OSError):
-                pass
-            self._log(
-                f"worker connection from {addr[0]}:{addr[1]} refused: "
-                f"digest shipping unavailable (no manifest)"
             )
             conn.close()
             return
@@ -1088,7 +1099,7 @@ class SweepCoordinator:
         )
 
     def _drain(self, worker: _WorkerHandle) -> None:
-        """Pull every buffered message off one worker's pipe.  A dead
+        """Pull every buffered message off one worker's connection.  A dead
         worker's already-sent messages are still delivered here before
         the EOF — no completed pair outcome is ever lost to a crash."""
         while True:
@@ -1307,7 +1318,6 @@ class SweepCoordinator:
             seconds=seconds,
             model_count=len(self.models),
             workers=self.config.workers,
-            backend="process",
             shard_id=shard.shard_id,
             shard_count=self.shard_count,
             quarantined=quarantined_here,

@@ -21,8 +21,10 @@ structural identity search batches corpus-scale comparisons instead;
   :class:`~repro.core.pattern_cache.PatternCache`: model copies share
   their immutable math nodes, so canonical patterns are computed per
   expression, not per pair),
-* pairs fan out onto a worker pool (``workers``/``backend`` exactly as
-  in :meth:`~repro.core.session.ComposeSession.compose_all`),
+* with ``workers > 1`` the sweep runs under the supervised
+  :class:`~repro.core.coordinator.SweepCoordinator` — local worker
+  processes with leases, retries and poison-pair quarantine — and
+  returns the same rows as the in-process engine,
 * the sweep itself iterates deterministic **shards** of the pair
   matrix (:func:`~repro.core.shards.partition_pairs`):
   :func:`match_all` runs every shard in one process, while
@@ -40,13 +42,8 @@ Compose the few pairs you care about through a session afterwards.
 
 from __future__ import annotations
 
-import logging
-import shutil
 import tempfile
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -73,11 +70,7 @@ from repro.core.compose import (
     ModelIndexSet,
     index_options_key,
 )
-from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    ComposeOptions,
-)
+from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
 from repro.core.session import stable_labels
 from repro.core.shards import Shard, partition_pairs
@@ -90,7 +83,6 @@ from repro.units.registry import UnitRegistry
 __all__ = [
     "PairOutcome",
     "MatchMatrix",
-    "WorkerPoolError",
     "match_all",
     "match_all_sharded",
     "match_query",
@@ -98,21 +90,6 @@ __all__ = [
     "write_outcomes_csv",
     "read_outcomes_csv",
 ]
-
-_LOGGER = logging.getLogger(__name__)
-
-
-class WorkerPoolError(ReproError):
-    """An unsupervised process pool lost a worker mid-sweep.
-
-    Raised in place of the bare ``BrokenProcessPool`` the executor
-    surfaces, carrying which chunk of pairs the pool was working
-    through when it broke.  The unsupervised backend has no leases or
-    retries — for a sweep that must survive worker deaths, run
-    ``sbmlcompose sweep --supervise``
-    (:class:`~repro.core.coordinator.SweepCoordinator`).
-    """
-
 
 @dataclass(frozen=True)
 class PairOutcome:
@@ -157,7 +134,6 @@ class MatchMatrix:
     seconds: float
     model_count: int
     workers: int
-    backend: str
     #: Set when this matrix holds one shard of a sharded sweep.
     shard_id: Optional[int] = None
     shard_count: Optional[int] = None
@@ -210,7 +186,7 @@ class MatchMatrix:
         return (
             f"{self.pair_count} pairs over {self.model_count} models in "
             f"{self.seconds:.2f}s ({self.pairs_per_second:.1f} pairs/s, "
-            f"workers={self.workers}, backend={self.backend}{sharded}"
+            f"workers={self.workers}{sharded}"
             f"{prescreened}{quarantined})"
         )
 
@@ -247,7 +223,6 @@ class MatchMatrix:
             seconds=sum(part.seconds for part in parts),
             model_count=model_counts.pop(),
             workers=max(part.workers for part in parts),
-            backend=parts[0].backend,
             pruned=sum(part.pruned for part in parts),
             quarantined=sum(part.quarantined for part in parts),
         )
@@ -324,12 +299,8 @@ def read_outcomes_csv(path: Union[str, Path]) -> List[PairOutcome]:
 
 
 class _PairEngine:
-    """Shared-artifact pairwise composer used by every worker.
-
-    Thread-safe: the artifact memo is filled under a lock, and the
-    composer's pattern cache locks internally.  One instance also
-    serves each worker *process* (built by the pool initializer from
-    the options and corpus shipped once per worker).
+    """Shared-artifact pairwise composer: one per sweep in process,
+    one per supervised worker process.
 
     With ``store_root`` set, the in-memory memo gains an on-disk tier:
     artifacts missing from the memo are rehydrated from the
@@ -430,9 +401,6 @@ class _PairEngine:
         #: both the model and its artifacts — "parse once per worker").
         self._rehydrated: Dict[int, Model] = {}
         self._entries: Dict[int, ModelArtifacts] = {}
-        # Re-entrant: rehydrating a model inside ``_model_artifacts``'s
-        # critical section re-takes the lock through ``_model``.
-        self._lock = threading.RLock()
 
     def _manifest_entry(self, index: int) -> ModelArtifacts:
         """The store entry behind manifest position ``index``, read
@@ -441,39 +409,35 @@ class _PairEngine:
         entry = self._entries.get(index)
         if entry is not None:
             return entry
-        with self._lock:
-            entry = self._entries.get(index)
-            if entry is None:
-                label, digest = self.manifest.entries[index]
+        label, digest = self.manifest.entries[index]
+        entry = self.store.get(digest)
+        if (
+            (entry is None or entry.sbml is None)
+            and self._fetch is not None
+        ):
+            # Remote rehydration: pull the raw entry bytes
+            # from the coordinator, land them in the local
+            # store (so every later pair — and every later
+            # sweep against this store — hits locally), then
+            # re-read through the normal screening path.
+            data = self._fetch(digest)
+            if data:
+                self.store.put_blob(digest, data)
                 entry = self.store.get(digest)
-                if (
-                    (entry is None or entry.sbml is None)
-                    and self._fetch is not None
-                ):
-                    # Remote rehydration: pull the raw entry bytes
-                    # from the coordinator, land them in the local
-                    # store (so every later pair — and every later
-                    # sweep against this store — hits locally), then
-                    # re-read through the normal screening path.
-                    data = self._fetch(digest)
-                    if data:
-                        self.store.put_blob(digest, data)
-                        entry = self.store.get(digest)
-                if entry is None or entry.sbml is None:
-                    problem = (
-                        "has no entry for it"
-                        if entry is None
-                        else "entry predates format 5 (no SBML blob)"
-                    )
-                    raise ReproError(
-                        f"digest-shipped worker cannot rehydrate model "
-                        f"{label!r} (digest {digest[:12]}...): store at "
-                        f"{self.store.root} {problem}.  If an eviction "
-                        f"removed it mid-sweep, pin the corpus "
-                        f"(evict(pinned=manifest.digests)); or rerun "
-                        f"with --no-digest-shipping."
-                    )
-                self._entries[index] = entry
+        if entry is None or entry.sbml is None:
+            problem = (
+                "has no entry for it"
+                if entry is None
+                else "entry predates format 5 (no SBML blob)"
+            )
+            raise ReproError(
+                f"digest-shipped worker cannot rehydrate model "
+                f"{label!r} (digest {digest[:12]}...): store at "
+                f"{self.store.root} {problem}.  If an eviction "
+                f"removed it mid-sweep, pin the corpus "
+                f"(evict(pinned=manifest.digests))."
+            )
+        self._entries[index] = entry
         return entry
 
     def _model(self, index: int) -> Model:
@@ -484,11 +448,8 @@ class _PairEngine:
         model = self._rehydrated.get(index)
         if model is not None:
             return model
-        with self._lock:
-            model = self._rehydrated.get(index)
-            if model is None:
-                model = read_sbml(self._manifest_entry(index).sbml).model
-                self._rehydrated[index] = model
+        model = read_sbml(self._manifest_entry(index).sbml).model
+        self._rehydrated[index] = model
         return model
 
     def _model_artifacts(
@@ -502,44 +463,41 @@ class _PairEngine:
         hit = self._artifacts.get(index)
         if hit is not None:
             return hit
-        with self._lock:
-            hit = self._artifacts.get(index)
-            if hit is None:
-                # Digest-shipped mode reads the manifest entry — the
-                # same store read that rehydrated (or will rehydrate)
-                # the model itself.  Without a store, the pattern
-                # table is only worth computing when this sweep's
-                # options will consult patterns; store-backed
-                # artifacts stay complete regardless, because other
-                # runs (with other semantics) rehydrate the same
-                # entry.  The index rows are likewise only taken from
-                # compute_artifacts when spilling to a store — a
-                # locally built set routes its math keys through the
-                # sweep's own seeded cache.
-                if self.manifest is not None:
-                    artifacts = self._manifest_entry(index)
-                elif self.store is not None:
-                    artifacts = self.store.get_or_compute(
-                        self._model(index)
-                    )
-                else:
-                    artifacts = compute_artifacts(
-                        self._model(index),
-                        with_patterns=self.options.use_math_patterns,
-                        with_indexes=False,
-                        with_sbml=False,
-                    )
-                if artifacts.patterns:
-                    self.pattern_cache.seed(artifacts.patterns)
-                if self.prebuilt_indexes:
-                    self._index_rows[index] = artifacts.indexes
-                hit = (
-                    artifacts.used_ids,
-                    artifacts.registry,
-                    artifacts.initial,
-                    getattr(artifacts, "id_sets", None),
-                )
-                self._artifacts[index] = hit
+        # Digest-shipped mode reads the manifest entry — the
+        # same store read that rehydrated (or will rehydrate)
+        # the model itself.  Without a store, the pattern
+        # table is only worth computing when this sweep's
+        # options will consult patterns; store-backed
+        # artifacts stay complete regardless, because other
+        # runs (with other semantics) rehydrate the same
+        # entry.  The index rows are likewise only taken from
+        # compute_artifacts when spilling to a store — a
+        # locally built set routes its math keys through the
+        # sweep's own seeded cache.
+        if self.manifest is not None:
+            artifacts = self._manifest_entry(index)
+        elif self.store is not None:
+            artifacts = self.store.get_or_compute(
+                self._model(index)
+            )
+        else:
+            artifacts = compute_artifacts(
+                self._model(index),
+                with_patterns=self.options.use_math_patterns,
+                with_indexes=False,
+                with_sbml=False,
+            )
+        if artifacts.patterns:
+            self.pattern_cache.seed(artifacts.patterns)
+        if self.prebuilt_indexes:
+            self._index_rows[index] = artifacts.indexes
+        hit = (
+            artifacts.used_ids,
+            artifacts.registry,
+            artifacts.initial,
+            getattr(artifacts, "id_sets", None),
+        )
+        self._artifacts[index] = hit
         return hit
 
     def _target_indexes(self, index: int) -> Optional[BoundIndexSet]:
@@ -551,20 +509,17 @@ class _PairEngine:
         bound = self._indexes.get(index)
         if bound is not None:
             return bound
-        with self._lock:
-            bound = self._indexes.get(index)
-            if bound is None:
-                model = self._model(index)
-                index_set = self._index_rows.get(index)
-                if index_set is None or not index_set.matches(self.options):
-                    # Stored rows absent (format-2 entry, no store) or
-                    # keyed under other options: build locally, once
-                    # per model.
-                    index_set = ModelIndexSet.build(
-                        model, self.options, self.pattern_cache
-                    )
-                bound = index_set.bind(model, self.options)
-                self._indexes[index] = bound
+        model = self._model(index)
+        index_set = self._index_rows.get(index)
+        if index_set is None or not index_set.matches(self.options):
+            # Stored rows absent (format-2 entry, no store) or
+            # keyed under other options: build locally, once
+            # per model.
+            index_set = ModelIndexSet.build(
+                model, self.options, self.pattern_cache
+            )
+        bound = index_set.bind(model, self.options)
+        self._indexes[index] = bound
         return bound
 
     def _model_size(self, index: int) -> int:
@@ -640,163 +595,6 @@ class _PairEngine:
         return [self.run_pair(i, j) for i, j in pairs]
 
 
-# ---------------------------------------------------------------------------
-# Process-backend workers (module level: the pool pickles references)
-# ---------------------------------------------------------------------------
-
-_PAIR_ENGINE: Optional[_PairEngine] = None
-
-
-def _init_pair_worker(
-    options: ComposeOptions,
-    models: Optional[List[Model]],
-    labels: Optional[List[str]],
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
-    manifest: Optional[CorpusManifest] = None,
-) -> None:
-    """Pool initializer: build the shared-artifact engine in the
-    worker.  Digest-shipped pools send ``manifest`` (a flat
-    ``(label, digest)`` list) and ``models=None`` — the worker
-    rehydrates each model from the store on first touch — while the
-    fallback path ships the pickled corpus as before."""
-    global _PAIR_ENGINE
-    _PAIR_ENGINE = _PairEngine(
-        options, models, labels, store_root, prebuilt_indexes, manifest
-    )
-
-
-def _run_pair_chunk(pairs: List[Tuple[int, int]]) -> List[PairOutcome]:
-    chaos.trip("chunk-start", pairs=len(pairs))
-    return _PAIR_ENGINE.run_pairs(pairs)
-
-
-def _chunked(
-    pairs: Sequence[Tuple[int, int]], chunks: int
-) -> List[List[Tuple[int, int]]]:
-    span = max(1, (len(pairs) + chunks - 1) // chunks)
-    return [list(pairs[k : k + span]) for k in range(0, len(pairs), span)]
-
-
-def _resolve_fanout(
-    options: Optional[ComposeOptions],
-    workers: Optional[int],
-    backend: Optional[str],
-) -> Tuple[int, str]:
-    """Explicit arguments win; ``None`` falls back to the options —
-    the same precedence :meth:`~repro.core.session.ComposeSession.compose_all`
-    applies, so one ``ComposeOptions(workers=8)`` drives both engines."""
-    if workers is None:
-        workers = options.workers if options is not None else 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if backend is None:
-        backend = options.backend if options is not None else BACKEND_THREAD
-    if backend not in (BACKEND_THREAD, BACKEND_PROCESS):
-        raise ValueError(f"unknown parallel backend {backend!r}")
-    return workers, backend
-
-
-def _run_pairs(
-    pairs: Sequence[Tuple[int, int]],
-    options: Optional[ComposeOptions],
-    models: List[Model],
-    labels: List[str],
-    workers: int,
-    backend: str,
-    store_root: Optional[str],
-    prebuilt_indexes: bool = True,
-    manifest: Optional[CorpusManifest] = None,
-) -> List[PairOutcome]:
-    """Execute one batch of pairs on the configured fanout.
-
-    The unsharded sweep calls this once per shard of its partition;
-    a sharded run calls it for exactly one shard.  Outcomes come back
-    in the order of ``pairs`` regardless of scheduling.  With
-    ``manifest`` set, process workers are digest-shipped: their
-    ``initargs`` carry the manifest instead of the corpus (the parent
-    path still runs on the in-memory models).
-    """
-    if workers == 1:
-        engine = _PairEngine(
-            options, models, labels, store_root, prebuilt_indexes
-        )
-        return engine.run_pairs(pairs)
-    if backend == BACKEND_PROCESS:
-        # ~4 chunks per worker amortises pickling while keeping the
-        # pool balanced when chunk costs differ.
-        chunks = _chunked(pairs, workers * 4)
-        if manifest is not None:
-            initargs = (
-                options or ComposeOptions(),
-                None,
-                None,
-                store_root,
-                prebuilt_indexes,
-                manifest,
-            )
-        else:
-            initargs = (
-                options or ComposeOptions(),
-                models,
-                labels,
-                store_root,
-                prebuilt_indexes,
-                None,
-            )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pair_worker,
-            initargs=initargs,
-        ) as pool:
-            try:
-                futures = [
-                    pool.submit(_run_pair_chunk, chunk) for chunk in chunks
-                ]
-            except BrokenProcessPool as exc:
-                # A worker can die while chunks are still being
-                # submitted (the first workers start computing
-                # immediately); submit then raises the bare pool
-                # error, so it needs the same translation as result().
-                raise WorkerPoolError(
-                    f"a process worker died while chunks were still "
-                    f"being submitted ({len(chunks)} chunks, pairs "
-                    f"{chunks[0][0]}..{chunks[-1][-1]}); the "
-                    f"unsupervised process backend cannot retry or "
-                    f"attribute worker deaths — rerun under "
-                    f"`sbmlcompose sweep --supervise` for leases, "
-                    f"retries and poison-pair quarantine"
-                ) from exc
-            outcomes: List[PairOutcome] = []
-            for index, future in enumerate(futures):
-                try:
-                    outcomes.extend(future.result())
-                except BrokenProcessPool as exc:
-                    # The executor cannot say *which* task killed the
-                    # worker — every pending future breaks at once.
-                    # Name the earliest unfinished chunk (in
-                    # submission order) so the failure at least lands
-                    # in a pair range instead of a bare pool error.
-                    first, last = chunks[index][0], chunks[index][-1]
-                    raise WorkerPoolError(
-                        f"a process worker died while the pool was "
-                        f"computing chunk {index + 1}/{len(chunks)} "
-                        f"(pairs {first}..{last}); the unsupervised "
-                        f"process backend cannot retry or attribute "
-                        f"worker deaths — rerun under `sbmlcompose "
-                        f"sweep --supervise` for leases, retries and "
-                        f"poison-pair quarantine"
-                    ) from exc
-            return outcomes
-    engine = _PairEngine(options, models, labels, store_root, prebuilt_indexes)
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="match-worker"
-    ) as pool:
-        futures = [pool.submit(engine.run_pair, i, j) for i, j in pairs]
-        return [future.result() for future in futures]
-
-
 def _store_root(
     store: Optional[Union[ArtifactStore, str, Path]]
 ) -> Optional[str]:
@@ -805,64 +603,6 @@ def _store_root(
     if isinstance(store, ArtifactStore):
         return str(store.root)
     return str(store)
-
-
-def _build_manifest(
-    models: Sequence[Model],
-    labels: Sequence[str],
-    store_root: str,
-) -> Optional[CorpusManifest]:
-    """Build (and store-populate) the corpus manifest, or ``None``
-    when the store cannot hold it — an unwritable store degrades to
-    the pickled-corpus worker boundary with a warning, never a crash.
-    Also the coordinator's manifest entry point."""
-    try:
-        return CorpusManifest.build(
-            models, labels, ArtifactStore(store_root)
-        )
-    except (OSError, ReproError) as exc:
-        _LOGGER.warning(
-            "digest shipping disabled: could not populate the artifact "
-            "store at %s (%s); process workers will receive pickled "
-            "models instead",
-            store_root,
-            exc,
-        )
-        return None
-
-
-def _prepare_manifest(
-    models: Sequence[Model],
-    labels: Sequence[str],
-    store_root: Optional[str],
-    digest_shipping: bool,
-    workers: int,
-    backend: str,
-) -> Tuple[Optional[CorpusManifest], Optional[str], Optional[str]]:
-    """``(manifest, store_root, temp_root)`` for one sweep.
-
-    Digest shipping engages only where it changes anything — a
-    multi-worker process fanout.  A sweep without a store gets a
-    temporary one (returned as ``temp_root``; the caller removes it
-    when the sweep ends).  On a store failure the manifest is ``None``
-    and the sweep falls back to shipping pickled models, with the
-    caller's original ``store_root`` intact.
-    """
-    if (
-        not digest_shipping
-        or workers <= 1
-        or backend != BACKEND_PROCESS
-    ):
-        return None, store_root, None
-    temp_root = None
-    if store_root is None:
-        temp_root = tempfile.mkdtemp(prefix="sbmlcompose-manifest-")
-        store_root = temp_root
-    manifest = _build_manifest(models, labels, store_root)
-    if manifest is None and temp_root is not None:
-        shutil.rmtree(temp_root, ignore_errors=True)
-        return None, None, None
-    return manifest, store_root, temp_root
 
 
 def _resolve_prescreen(
@@ -955,34 +695,16 @@ def _run_screened(
     screen: Optional[Prescreen],
     labels: Sequence[str],
     sizes: Sequence[int],
-    options: Optional[ComposeOptions],
-    models: List[Model],
-    workers: int,
-    backend: str,
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
-    manifest: Optional[CorpusManifest] = None,
+    engine: _PairEngine,
 ) -> Tuple[List[PairOutcome], int]:
     """Run one batch of pairs through the prescreen gate.
 
-    Surviving pairs go to the full fanout engine, pruned pairs are
+    Surviving pairs go to the pair engine, pruned pairs are
     synthesized; the returned outcomes are in the order of ``pairs``
     regardless, so a screened sweep's CSV is row-for-row aligned with
     the full sweep's."""
     to_run, _ = _screened_pairs(pairs, screen)
-    computed = iter(
-        _run_pairs(
-            to_run,
-            options,
-            models,
-            labels,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
-        )
-    )
+    computed = iter(engine.run_pairs(to_run))
     if screen is None:
         return list(computed), 0
     survivors = screen.survivors()
@@ -999,17 +721,78 @@ def _run_screened(
     return outcomes, pruned
 
 
+def _supervised_match_all(
+    models: List[Model],
+    options: Optional[ComposeOptions],
+    workers: int,
+    include_self: bool,
+    prebuilt_indexes: bool,
+) -> MatchMatrix:
+    """:func:`match_all` with ``workers > 1``: the supervised
+    coordinator, in process, over a temporary out-dir.
+
+    ``4 * workers`` shards (capped at the pair count) keep the workers
+    balanced when pair costs differ; a killed worker's shard is
+    retried.  Pairs that fail on every attempt are quarantined, and
+    since a ``match_all`` matrix has no room for missing rows, a
+    quarantine raises :class:`~repro.core.coordinator.CoordinatorError`
+    naming them.
+    """
+    # Deferred: the coordinator module imports this one.
+    from repro.core.coordinator import (
+        CoordinatorConfig,
+        CoordinatorError,
+        SweepCoordinator,
+    )
+
+    count = len(models)
+    pair_count = (count + 1 if include_self else count - 1) * count // 2
+    shards = max(1, min(4 * workers, pair_count))
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
+        report = SweepCoordinator(
+            models,
+            options,
+            shards=shards,
+            out_dir=out_dir,
+            # The journal lives and dies with this call, so nothing can
+            # resume onto it: a label will do where a CLI sweep binds
+            # the corpus content (which costs a serialisation per
+            # model).
+            fingerprint=f"match_all:{count}:{shards}",
+            config=CoordinatorConfig(workers=workers),
+            include_self=include_self,
+            prebuilt_indexes=prebuilt_indexes,
+            progress=False,
+        ).run()
+    if report.quarantined:
+        named = "; ".join(
+            f"({entry['i']}, {entry['j']}) [{entry['left']}+"
+            f"{entry['right']}]: "
+            f"{str(entry['error']).strip().splitlines()[-1]}"
+            for entry in report.quarantined
+        )
+        raise CoordinatorError(
+            f"{len(report.quarantined)} pair(s) failed on every attempt "
+            f"and were quarantined: {named}"
+        )
+    return MatchMatrix(
+        outcomes=MatchMatrix.union(report.matrices).outcomes,
+        seconds=time.perf_counter() - started,
+        model_count=count,
+        workers=workers,
+    )
+
+
 def match_all(
     models: Sequence[Model],
     options: Optional[ComposeOptions] = None,
     *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
+    workers: int = 1,
     include_self: bool = True,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
     prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
     """Compose every unordered pair of ``models``, batched.
 
@@ -1020,22 +803,21 @@ def match_all(
     The inputs are never mutated and the composed models are not
     retained; each pair yields a :class:`PairOutcome`.
 
-    ``workers``/``backend`` fan pairs out exactly as plan execution
-    does (``None`` falls back to ``options.workers``/``options.backend``,
-    exactly like :meth:`~repro.core.session.ComposeSession.compose_all`):
-    threads share one engine (artifact memo + pattern cache),
-    processes each build their own — by default **digest-shipped**:
-    the sweep populates the artifact store up front (``store``, or a
-    temporary store when none was given) and workers receive only a
-    :class:`~repro.core.artifact_store.CorpusManifest` plus the store
-    root, rehydrating each model from its format-5 entry on first
-    touch instead of unpickling the whole corpus through
-    ``initargs``.  ``digest_shipping=False`` restores the
-    pickled-corpus boundary (also the automatic fallback when the
-    store cannot be written).  ``store`` (an
-    :class:`~repro.core.artifact_store.ArtifactStore` or a directory
-    path) adds the on-disk artifact tier.  Outcomes are returned in
-    pair order regardless of scheduling.
+    ``workers=1`` (the default) runs the in-process engine.  With
+    ``workers > 1`` the sweep runs under the supervised
+    :class:`~repro.core.coordinator.SweepCoordinator`: ``workers``
+    local processes over ``4 * workers`` shards of a temporary
+    out-dir, each receiving the corpus as a digest manifest it
+    rehydrates from the out-dir's artifact store.  A worker death is
+    retried; a pair that fails on every attempt raises
+    :class:`~repro.core.coordinator.CoordinatorError` naming it.  The
+    rows are the in-process engine's, in pair order.  ``store`` and
+    ``prescreen`` need ``workers=1`` (:class:`ValueError` otherwise);
+    ``sbmlcompose sweep --supervise --out-dir DIR`` is the parallel
+    sweep with a persistent store.
+
+    ``store`` (an :class:`~repro.core.artifact_store.ArtifactStore` or
+    a directory path) adds the on-disk artifact tier.
 
     ``prebuilt_indexes=False`` disables the per-model phase-index
     artifacts (every pair rebuilds its target-side Figure 5 indexes
@@ -1059,43 +841,41 @@ def match_all(
     many, which is what keeps sharded unions identical to this.
     """
     models = list(models)
-    workers, backend = _resolve_fanout(options, workers, backend)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers > 1:
+        if store is not None or prescreen not in (None, False):
+            raise ValueError(
+                "store= and prescreen= need workers=1: match_all with "
+                "workers > 1 runs the supervised coordinator over a "
+                "temporary out-dir; for a parallel sweep with a "
+                "persistent store run `sbmlcompose sweep --supervise "
+                "--out-dir DIR`"
+            )
+        return _supervised_match_all(
+            models, options, workers, include_self, prebuilt_indexes
+        )
     labels = stable_labels(models)
     sizes = [model.network_size() for model in models]
     shards = partition_pairs(sizes, 1, include_self=include_self)
     started = time.perf_counter()
     screen = _resolve_prescreen(prescreen, models, options, store)
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
+    engine = _PairEngine(
+        options, models, labels, _store_root(store), prebuilt_indexes
     )
     outcomes: List[PairOutcome] = []
     pruned = 0
-    try:
-        for shard in shards:
-            shard_outcomes, shard_pruned = _run_screened(
-                shard.pairs,
-                screen,
-                labels,
-                sizes,
-                options,
-                models,
-                workers,
-                backend,
-                store_root,
-                prebuilt_indexes,
-                manifest,
-            )
-            outcomes.extend(shard_outcomes)
-            pruned += shard_pruned
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
+    for shard in shards:
+        shard_outcomes, shard_pruned = _run_screened(
+            shard.pairs, screen, labels, sizes, engine
+        )
+        outcomes.extend(shard_outcomes)
+        pruned += shard_pruned
     return MatchMatrix(
         outcomes=outcomes,
         seconds=time.perf_counter() - started,
         model_count=len(models),
-        workers=workers,
-        backend=backend,
+        workers=1,
         pruned=pruned,
     )
 
@@ -1106,15 +886,12 @@ def match_all_sharded(
     *,
     shards: int,
     shard_id: int,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
     include_self: bool = True,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
     prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
-    """Compute one shard of the all-pairs sweep.
+    """Compute one shard of the all-pairs sweep, in process.
 
     The pair matrix is partitioned deterministically
     (:func:`~repro.core.shards.partition_pairs`, block-cyclic over the
@@ -1134,12 +911,8 @@ def match_all_sharded(
     :func:`match_all` — the prescreen's synthesis is deterministic and
     per-pair, so every shard prunes the same pairs the unsharded
     screened sweep would and shard unions stay byte-identical.
-    ``digest_shipping`` likewise: a multi-worker process shard ships
-    the manifest, not the corpus, and the entries the first shard
-    spilled serve every later shard's rehydration.
     """
     models = list(models)
-    workers, backend = _resolve_fanout(options, workers, backend)
     if shards < 1:
         raise ValueError("shards must be at least 1")
     if not 0 <= shard_id < shards:
@@ -1153,32 +926,17 @@ def match_all_sharded(
     ]
     started = time.perf_counter()
     screen = _resolve_prescreen(prescreen, models, options, store)
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
+    engine = _PairEngine(
+        options, models, labels, _store_root(store), prebuilt_indexes
     )
-    try:
-        outcomes, pruned = _run_screened(
-            shard.pairs,
-            screen,
-            labels,
-            sizes,
-            options,
-            models,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
-        )
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
+    outcomes, pruned = _run_screened(
+        shard.pairs, screen, labels, sizes, engine
+    )
     return MatchMatrix(
         outcomes=outcomes,
         seconds=time.perf_counter() - started,
         model_count=len(models),
-        workers=workers,
-        backend=backend,
+        workers=1,
         shard_id=shard_id,
         shard_count=shards,
         pruned=pruned,
@@ -1190,12 +948,9 @@ def match_query(
     sources: Sequence[Model],
     options: Optional[ComposeOptions] = None,
     *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
     prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
     """Compose one query model (as target) against each source model.
 
@@ -1205,43 +960,25 @@ def match_query(
     the query at ``i=0`` and each candidate's position (in input
     order) at ``j``.  ``prescreen`` covers the concatenated list (the
     query model included) and synthesizes trivial candidates exactly
-    as in :func:`match_all`; everything else — fanout, store tier,
-    prebuilt indexes — behaves identically too, and each row's
-    run-invariant fields match what a full linear scan over the same
-    candidate list would produce.
+    as in :func:`match_all`; the store tier and prebuilt indexes
+    behave identically too, and each row's run-invariant fields match
+    what a full linear scan over the same candidate list would
+    produce.  Runs in process.
     """
     models = [target] + list(sources)
-    workers, backend = _resolve_fanout(options, workers, backend)
     labels = stable_labels(models)
     sizes = [model.network_size() for model in models]
     pairs = [(0, j) for j in range(1, len(models))]
     started = time.perf_counter()
     screen = _resolve_prescreen(prescreen, models, options, store)
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
+    engine = _PairEngine(
+        options, models, labels, _store_root(store), prebuilt_indexes
     )
-    try:
-        outcomes, pruned = _run_screened(
-            pairs,
-            screen,
-            labels,
-            sizes,
-            options,
-            models,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
-        )
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
+    outcomes, pruned = _run_screened(pairs, screen, labels, sizes, engine)
     return MatchMatrix(
         outcomes=outcomes,
         seconds=time.perf_counter() - started,
         model_count=len(models),
-        workers=workers,
-        backend=backend,
+        workers=1,
         pruned=pruned,
     )

@@ -26,8 +26,6 @@ __all__ = [
     "INDEX_SORTED",
     "CONFLICTS_WARN",
     "CONFLICTS_ERROR",
-    "BACKEND_THREAD",
-    "BACKEND_PROCESS",
 ]
 
 SEMANTICS_HEAVY = "heavy"
@@ -40,9 +38,6 @@ INDEX_SORTED = "sorted"
 
 CONFLICTS_WARN = "warn"
 CONFLICTS_ERROR = "error"
-
-BACKEND_THREAD = "thread"
-BACKEND_PROCESS = "process"
 
 
 @dataclass
@@ -87,18 +82,14 @@ class ComposeOptions:
         expressions are small, so the default is off; the option and
         the :mod:`repro.core.pattern_cache` machinery exist for the
         ablation and for workloads with genuinely large math.
-    workers:
-        Worker-pool size for executing independent sibling merges of a
-        plan tree (and for the all-pairs matching engine).  ``1``
-        (default) executes serially; fold/greedy plans are left spines
-        with no sibling independence, so only ``tree`` plans gain.
-        See ``docs/perf.md`` for choosing a value.
-    backend:
-        ``thread`` (default) dispatches merges onto a thread pool —
-        zero setup cost, shared caches, but bounded by the GIL on
-        standard CPython builds.  ``process`` dispatches onto a
-        process pool — real multi-core scaling for large corpora at
-        the price of pickling models across the pool.
+
+    Options describe *what* a composition computes, never how it is
+    scheduled: composition always runs serially in process, and the
+    all-pairs sweep's parallelism is the ``workers`` argument of
+    :func:`~repro.core.match_all.match_all`.  Pickles written by older
+    versions (``options.pkl`` in artifact stores and corpus indexes)
+    may still carry ``workers``/``backend`` attributes; they load
+    unchanged and are ignored.
     """
 
     semantics: str = SEMANTICS_HEAVY
@@ -111,8 +102,6 @@ class ComposeOptions:
     rename_suffix: str = "m2"
     value_tolerance: float = 1e-9
     memoize_patterns: bool = False
-    workers: int = 1
-    backend: str = BACKEND_THREAD
 
     def __post_init__(self):
         if self.semantics not in (
@@ -125,10 +114,6 @@ class ComposeOptions:
             raise ValueError(f"unknown index strategy {self.index!r}")
         if self.conflicts not in (CONFLICTS_WARN, CONFLICTS_ERROR):
             raise ValueError(f"unknown conflict policy {self.conflicts!r}")
-        if self.backend not in (BACKEND_THREAD, BACKEND_PROCESS):
-            raise ValueError(f"unknown parallel backend {self.backend!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.synonyms is None and self.semantics == SEMANTICS_HEAVY:
             self.synonyms = builtin_synonyms()
         # Unit conversion and evaluated-math equality are heavy-
@@ -176,12 +161,6 @@ class ComposeOptions:
         """A copy that raises :class:`~repro.errors.ConflictError`
         instead of warn-and-continue."""
         return replace(self, conflicts=CONFLICTS_ERROR)
-
-    def parallel(
-        self, workers: int, backend: str = BACKEND_THREAD
-    ) -> "ComposeOptions":
-        """A copy that executes independent merges on a worker pool."""
-        return replace(self, workers=workers, backend=backend)
 
     def values_equal(self, first: float, second: float) -> bool:
         """Tolerant numeric comparison for attribute values."""

@@ -10,8 +10,8 @@ or distributed decomposition of the whole experiment.
 
 :func:`partition_pairs` produces that partition deterministically:
 pairs are enumerated in canonical order, grouped into cost-balanced
-blocks (cost hints mirror :func:`~repro.core.plan.estimate_costs` —
-merge work is linear in both sides), and blocks are dealt block-cyclic
+blocks (cost hints from :func:`pair_cost` — merge work is linear in
+both sides), and blocks are dealt block-cyclic
 over the shards.  Block-cyclic matters because pair costs are strongly
 ordered (the corpus is size-sorted, so late pairs dwarf early ones):
 contiguous range splits would give the last shard nearly all the work,
@@ -100,9 +100,9 @@ def enumerate_pairs(count: int, include_self: bool = True) -> List[Pair]:
 
 
 def pair_cost(left_size: float, right_size: float) -> float:
-    """Estimated work of composing one pair — linear in both sides,
-    exactly the per-merge model :func:`~repro.core.plan.estimate_costs`
-    uses for plan scheduling."""
+    """Estimated work of composing one pair — linear in both sides
+    (the hash index probes the source against the target and copies
+    what does not unite), floored at 1."""
     return max(1.0, float(left_size) + float(right_size))
 
 
@@ -207,7 +207,7 @@ class SweepCheckpoint:
       lapses.  A coordinator restarted over the directory reclaims
       expired leases automatically; unexpired foreign leases are
       honoured until they lapse.  Holder names are ``worker@host``
-      (``w1@box-a`` for a local pipe worker, ``r1@box-b`` for a
+      (``w1@box-a`` for a local worker, ``r1@box-b`` for a
       remote socket worker), so a journal read from any machine of a
       multi-host sweep shows *where* each shard is running.
     * ``retries`` — shard id -> ``{count, steals}``: how many attempts

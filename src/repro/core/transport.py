@@ -1,15 +1,14 @@
-"""Framed socket transport for remote sweep workers.
+"""Framed socket transport for sweep workers.
 
-The supervised sweep's worker boundary was built on ``multiprocessing``
-duplex pipes: tuple messages, synchronous sends, EOF the instant the
-peer dies.  This module lifts exactly that contract onto TCP so a
-worker can run on another machine — :class:`FramedConnection` carries
-the same tuples (``("heartbeat", name)``, ``("pair-done", ...)``, ...)
-as length-prefixed pickle frames, exposes the same ``send`` / ``recv``
-/ ``poll`` / ``fileno`` surface a pipe connection does, and degrades
-the same way: a clean peer close reads as :class:`EOFError`, so the
-coordinator's drain/reap machinery treats a vanished remote worker
-exactly like a crashed local one.
+Every supervised sweep worker talks to its coordinator through this
+module: a local worker over one end of a ``socket.socketpair()``, a
+remote one over TCP.  :class:`FramedConnection` carries tuple messages
+(``("heartbeat", name)``, ``("pair-done", ...)``, ...) as
+length-prefixed pickle frames, exposes the ``send`` / ``recv`` /
+``poll`` / ``fileno`` surface of a ``multiprocessing`` connection, and
+degrades the same way: a clean peer close reads as :class:`EOFError`,
+so the coordinator's drain/reap machinery treats a vanished remote
+worker exactly like a crashed local one.
 
 What a socket adds over a pipe is *ways to half-fail*, and those are
 made explicit instead of hanging:
@@ -40,9 +39,11 @@ sender), and ``net-accept`` with the ``drop`` advisory (the acceptor
 closes a just-accepted connection, exercised at the coordinator's
 accept site).
 
-Frames are pickles, so the transport trusts its network the way the
-pipe trusted ``fork``: run it on a loopback, a LAN you control, or a
-tunnel — never an untrusted interface.
+Frames are pickles, so the transport trusts its network the way a
+pipe trusts ``fork``: run it on a loopback, a LAN you control, or a
+tunnel — never an untrusted interface.  :func:`parse_address` binds a
+bare ``:PORT`` to loopback for that reason.  Local coordinator workers
+use the same framing over a ``socket.socketpair()``.
 """
 
 from __future__ import annotations
@@ -128,14 +129,20 @@ def options_fingerprint(options: Optional[ComposeOptions]) -> str:
 
 
 def parse_address(address: str) -> Tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)``; bare ``":port"`` binds all
-    interfaces."""
+    """``"host:port"`` -> ``(host, port)``.
+
+    A bare ``":port"`` means loopback (``127.0.0.1``): frames are
+    pickles, so listening on every interface must be asked for
+    explicitly with ``"0.0.0.0:port"``.  Raises :class:`ValueError` on
+    a malformed address or a port outside 0-65535."""
     host, sep, port = address.rpartition(":")
     if not sep or not port.isdigit():
         raise ValueError(
             f"expected HOST:PORT, got {address!r}"
         )
-    return host or "0.0.0.0", int(port)
+    if int(port) > 65535:
+        raise ValueError(f"port {port} out of range 0-65535 in {address!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def _message_kind(obj: object) -> str:
@@ -385,8 +392,8 @@ def client_handshake(
 ) -> dict:
     """Worker side: send hello, validate the welcome, return it.
 
-    The returned dict carries everything a remote worker needs to be a
-    drop-in peer of a local pipe worker: its assigned ``name``, the
+    The returned dict carries everything a worker needs beyond its
+    socket and its store: its assigned ``name``, the
     ``options`` (+ ``options_fingerprint``, recomputed and verified
     here), the corpus ``manifest``, ``heartbeat_interval`` and
     ``prebuilt_indexes``.  A fingerprint mismatch sends an explicit

@@ -2,8 +2,8 @@
 
 The engine now has many ways to compute the same composition: the
 legacy ``compose(a, b)`` shim chained by hand, a session fold, a
-balanced tree, the greedy-similarity plan, the parallel tree executor
-on both backends, and the sharded all-pairs sweep.  Each path exists
+balanced tree, the greedy-similarity plan, and the sharded all-pairs
+sweep, in process or on supervised workers.  Each path exists
 for performance or deployment shape — none of them is allowed to
 change the *answer*.  This matrix pins that guarantee differentially:
 every path is run over the same corpora and compared against one
@@ -15,11 +15,10 @@ Equality strength per path:
   across **all** paths (including greedy, which merges in a different
   order but must unite the same things);
 * serialized model bytes — identical for every path that folds in
-  input order (legacy/fold/tree/parallel×2).  The greedy plan reorders
-  inputs, so its component *order* may differ while ids/content match;
-* step records — identical between the serial tree and both parallel
-  backends (scheduling must not leak into the record), and pairwise
-  between the legacy shim chain and the session fold;
+  input order (legacy/fold/tree).  The greedy plan reorders inputs, so
+  its component *order* may differ while ids/content match;
+* step records — pairwise identical between the legacy shim chain and
+  the session fold;
 * the sharded sweep — the union of any shard layout equals the
   unsharded sweep on every run-invariant field, both when the
   per-model artifacts (including the pattern tables that seed the
@@ -46,18 +45,18 @@ Equality strength per path:
   hypothesis property states the safety side directly: a pruned pair
   is always one the full matcher composes with zero renames and zero
   conflicts;
-* the **digest-shipped sweep** (the ninth path) — process workers
-  receive a ``(label, digest)`` manifest instead of the pickled
-  corpus and rehydrate each model from the store's format-5 canonical
-  SBML blob on first touch; the resulting matrix is byte-identical to
-  the in-memory sweep on the deterministic CSV — plain pool and
-  supervised coordinator, populating the store and rehydrating from
-  it, through the escape hatch and the automatic temp store, and (a
-  hypothesis property) for any shard layout and worker count;
+* the **digest-shipped sweep** (the ninth path) — supervised workers
+  (``match_all(workers=N)`` and the coordinator itself) receive a
+  ``(label, digest)`` manifest in their ``welcome`` and rehydrate each
+  model from the store's format-5 canonical SBML blob on first touch;
+  the resulting matrix is byte-identical to the in-memory sweep on the
+  deterministic CSV — for any worker count, for any shard layout and
+  worker count (a hypothesis property), and under a chaos kill, where
+  a poison pair raises an error that names it;
 * the **remote supervised sweep** (the tenth path) — workers joined
   over loopback TCP (``sbmlcompose worker``) compute shards through
   the framed socket transport and the digest-fetch protocol, mixed
-  with a local pipe worker, with one remote chaos-killed mid-shard
+  with a local socketpair worker, with one remote chaos-killed mid-shard
   and one pair quarantined as poison; the merged CSV is byte-identical
   to the unsharded in-memory sweep minus exactly the quarantined
   pair.
@@ -94,14 +93,7 @@ from repro.corpus.curated import (
     mapk_cascade,
 )
 
-PATHS = [
-    "legacy",
-    "fold",
-    "tree",
-    "greedy",
-    "parallel-thread",
-    "parallel-process",
-]
+PATHS = ["legacy", "fold", "tree", "greedy"]
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +125,7 @@ def _run_path(path, models):
                 accumulator, report = compose(accumulator, model)
                 step_reports.append(report)
         return None, write_sbml(accumulator), step_reports
-    plan = {"fold": "fold", "tree": "tree", "greedy": "greedy"}.get(path)
-    if plan is not None:
-        result = compose_all(models, plan=plan)
-    elif path == "parallel-thread":
-        result = compose_all(models, plan="tree", workers=3, backend="thread")
-    elif path == "parallel-process":
-        result = compose_all(models, plan="tree", workers=2, backend="process")
-    else:  # pragma: no cover - matrix misconfiguration
-        raise AssertionError(path)
+    result = compose_all(models, plan=path)
     return result, write_sbml(result.model), [s.report for s in result.steps]
 
 
@@ -162,14 +146,11 @@ def references(corpora):
     refs = {}
     for name, models in corpora.items():
         fold, fold_xml, fold_reports = _run_path("fold", models)
-        tree, tree_xml, _ = _run_path("tree", models)
         refs[name] = {
             "models": models,
             "fold": fold,
             "fold_xml": fold_xml,
             "fold_reports": fold_reports,
-            "tree": tree,
-            "tree_xml": tree_xml,
         }
     return refs
 
@@ -198,24 +179,8 @@ def test_conformance(path, corpus_name, references):
     # greedy plan may reorder components (different merge order), but
     # its ids/mappings/provenance matched above.
     if path != "greedy":
-        reference_xml = (
-            ref["tree_xml"] if path.startswith("parallel") else ref["fold_xml"]
-        )
-        assert xml == reference_xml
+        assert xml == ref["fold_xml"]
 
-    # Step records: scheduling must not leak into the record.
-    if path.startswith("parallel"):
-        serial_steps = ref["tree"].steps
-        assert [s.index for s in result.steps] == [
-            s.index for s in serial_steps
-        ]
-        assert [(s.left, s.right) for s in result.steps] == [
-            (s.left, s.right) for s in serial_steps
-        ]
-        for parallel_step, serial_step in zip(result.steps, serial_steps):
-            assert _report_record(parallel_step.report) == _report_record(
-                serial_step.report
-            )
     if path == "legacy":
         assert len(step_reports) == len(ref["fold_reports"])
         for legacy_report, fold_report in zip(
@@ -236,15 +201,10 @@ def _report_record(report):
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
-@pytest.mark.parametrize(
-    "shards,workers,backend",
-    [(2, 1, "thread"), (5, 1, "thread"), (2, 3, "thread"), (2, 2, "process")],
-)
-def test_sharded_sweep_conformance(
-    corpus_name, shards, workers, backend, corpora, tmp_path
-):
-    """The sweep path of the matrix: any shard layout and fanout
-    unions back to the unsharded engine, field for field."""
+@pytest.mark.parametrize("shards", [2, 5])
+def test_sharded_sweep_conformance(corpus_name, shards, corpora, tmp_path):
+    """The sweep path of the matrix: any shard layout unions back to
+    the unsharded engine, field for field."""
     models = corpora[corpus_name]
     reference = match_all(models)
     parts = [
@@ -252,8 +212,6 @@ def test_sharded_sweep_conformance(
             models,
             shards=shards,
             shard_id=shard_id,
-            workers=workers,
-            backend=backend,
             store=tmp_path / "artifacts",
         )
         for shard_id in range(shards)
@@ -271,8 +229,6 @@ def test_sharded_sweep_conformance(
             models,
             shards=shards,
             shard_id=shard_id,
-            workers=workers,
-            backend=backend,
             store=tmp_path / "artifacts",
         )
         for shard_id in range(shards)
@@ -446,64 +402,61 @@ def test_prescreen_never_prunes_a_matching_pair(seed):
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
-def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
-    """The digest-shipped process pool — workers receive a ``(label,
-    digest)`` manifest and rehydrate each model from the artifact
-    store's format-5 SBML blob — must be byte-identical to the
-    in-memory sweep on the deterministic CSV: populating the store,
-    rehydrating from it, through the ``digest_shipping=False`` escape
-    hatch, through the automatic temp store, and as a sharded union."""
+def test_digest_shipped_sweep_conformance(corpus_name, corpora):
+    """``match_all(workers=N)`` — the supervised coordinator over a
+    temporary out-dir, its socketpair workers rehydrating each model
+    from the store's format-5 SBML blob — must be byte-identical to
+    the in-memory sweep on the deterministic CSV, whatever the worker
+    count (and with it the shard layout: ``4 * N`` shards)."""
     models = corpora[corpus_name]
     reference = _deterministic_csv(match_all(models))
-    store_dir = tmp_path / "artifacts"
+    for workers in (2, 3):
+        assert (
+            _deterministic_csv(match_all(models, workers=workers))
+            == reference
+        ), workers
 
-    # Plain pool over the manifest boundary, populating the store...
-    assert (
-        _deterministic_csv(
-            match_all(models, workers=2, backend="process", store=store_dir)
-        )
-        == reference
+
+def test_digest_shipped_sweep_under_chaos(corpora, tmp_path):
+    """``match_all(workers=2)`` under the kill + poison chaos spec.  A
+    worker SIGKILLed as it starts a shard costs a retry: the shard is
+    reassigned and the rows stay byte-identical.  A poison pair fails
+    on every attempt, is quarantined, and raises an error that names
+    it — a ``match_all`` matrix has no room for a missing row."""
+    from repro.core import chaos
+    from repro.core.coordinator import CoordinatorError
+
+    models = corpora["curated"]
+    poison = (1, 2)
+    reference = _deterministic_csv(match_all(models))
+    kill = chaos.Fault(
+        site="chunk-start",
+        action="kill",
+        match={"worker": "w1"},
+        times=1,
+        key="kill-local",
     )
-    # ...and a second pass rehydrating every artifact from it.
-    assert (
-        _deterministic_csv(
-            match_all(models, workers=2, backend="process", store=store_dir)
-        )
-        == reference
+    kill_spec = chaos.ChaosSpec(tmp_path / "kill", faults=[kill])
+    with chaos.active(kill_spec):
+        assert _deterministic_csv(match_all(models, workers=2)) == reference
+    poison_spec = chaos.ChaosSpec(
+        tmp_path / "kill-poison",
+        faults=[
+            kill,
+            chaos.Fault(
+                site="pair-start",
+                action="raise",
+                match={"i": poison[0], "j": poison[1]},
+                times=None,
+                key="poison",
+            ),
+        ],
     )
-    # The escape hatch (--no-digest-shipping): the pickled-corpus
-    # boundary must agree with the manifest boundary.
-    assert (
-        _deterministic_csv(
-            match_all(
-                models,
-                workers=2,
-                backend="process",
-                store=store_dir,
-                digest_shipping=False,
-            )
-        )
-        == reference
-    )
-    # No explicit store: the sweep ships digests through a transient
-    # temp store it cleans up afterwards.
-    assert (
-        _deterministic_csv(match_all(models, workers=2, backend="process"))
-        == reference
-    )
-    # Sharded digest-shipped union.
-    parts = [
-        match_all_sharded(
-            models,
-            shards=2,
-            shard_id=shard_id,
-            workers=2,
-            backend="process",
-            store=store_dir,
-        )
-        for shard_id in range(2)
-    ]
-    assert _deterministic_csv(MatchMatrix.union(parts)) == reference
+    with chaos.active(poison_spec):
+        with pytest.raises(CoordinatorError) as excinfo:
+            match_all(models, workers=2)
+    labels = f"[{models[1].id}+{models[2].id}]"
+    assert f"{poison} {labels}" in str(excinfo.value)
 
 
 def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
@@ -537,7 +490,7 @@ def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
 
 def test_remote_supervised_sweep_conformance(corpora, tmp_path):
     """The tenth path: a mixed local + remote supervised sweep — one
-    local pipe worker plus two loopback socket workers, one remote
+    local socketpair worker plus two loopback socket workers, one remote
     chaos-killed mid-shard (its shard stolen and retried) and one pair
     quarantined as poison — must still merge to a CSV byte-identical
     to the unsharded in-memory sweep minus exactly the quarantined
@@ -668,24 +621,26 @@ def test_digest_shipped_invariant_over_shards_and_workers(
     seed, shards, workers, tmp_path_factory
 ):
     """Shard layout and worker count must not leak into the
-    digest-shipped sweep: for any BioModels-like corpus, the union of
-    any sharded digest-shipped process sweep is byte-identical to the
-    serial in-memory sweep."""
+    digest-shipped sweep: for any BioModels-like corpus, the shard
+    union of a coordinator driving 2-3 local socketpair workers is
+    byte-identical to the serial in-memory sweep."""
+    from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
+
     models = generate_corpus(count=4, seed=seed)
     reference = _deterministic_csv(match_all(models))
-    store_dir = tmp_path_factory.mktemp("digest-shipped-store")
-    parts = [
-        match_all_sharded(
-            models,
-            shards=shards,
-            shard_id=shard_id,
-            workers=workers,
-            backend="process",
-            store=store_dir,
-        )
-        for shard_id in range(shards)
-    ]
-    assert _deterministic_csv(MatchMatrix.union(parts)) == reference
+    report = SweepCoordinator(
+        models,
+        None,
+        shards=shards,
+        out_dir=tmp_path_factory.mktemp("digest-shipped-sweep"),
+        fingerprint=corpus_fingerprint(models, extra=("shards", shards)),
+        config=CoordinatorConfig(
+            workers=workers, worker_timeout=15.0, poll_interval=0.05
+        ),
+        progress=False,
+    ).run()
+    assert report.exit_code == 0
+    assert _deterministic_csv(MatchMatrix.union(report.matrices)) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,74 @@ class _StubbornProcess:
             self._alive = False
 
 
+class _IdleProcess:
+    """A live worker process that never exits: its sentinel is the
+    read end of a pipe nobody writes."""
+
+    def __init__(self):
+        import os
+
+        self._read, self._write = os.pipe()
+        self.sentinel = self._read
+
+    def is_alive(self):
+        return True
+
+    def close(self):
+        import os
+
+        os.close(self._read)
+        os.close(self._write)
+
+
+class TestLocalHandshake:
+    def test_hello_is_answered_when_readable_never_awaited(
+        self, corpus, fingerprint, tmp_path
+    ):
+        """A local child is welcomed once its ``hello`` is readable; a
+        child that has not said it yet costs the event loop one poll
+        tick, not the handshake timeout."""
+        import socket
+        import time as _time
+
+        from repro.core import coordinator as coord_mod
+        from repro.core import transport
+
+        coordinator = _coordinator(corpus, fingerprint, tmp_path / "sweep")
+        parent, child = socket.socketpair()
+        process = _IdleProcess()
+        handle = coord_mod._WorkerHandle(
+            "w1", process, transport.FramedConnection(parent), welcomed=False
+        )
+        coordinator._workers["w1"] = handle
+        worker_side = transport.FramedConnection(child)
+        try:
+            started = _time.monotonic()
+            coordinator._wait_and_drain()
+            assert _time.monotonic() - started < 2.0
+            assert not handle.welcomed
+            worker_side.send(
+                (
+                    "hello",
+                    {
+                        "protocol": transport.PROTOCOL_VERSION,
+                        "host": "box-a",
+                        "pid": 1,
+                        "has_store": True,
+                    },
+                )
+            )
+            coordinator._wait_and_drain()
+            assert handle.welcomed
+            kind, welcome = worker_side.recv()
+            assert kind == "welcome" and welcome["name"] == "w1"
+            assert not handle.eof
+        finally:
+            worker_side.close()
+            handle.conn.close()
+            process.close()
+
+
 class TestShutdownEscalation:
     def _with_worker(self, corpus, fingerprint, tmp_path, process):
         from repro.core import coordinator as coord_mod

@@ -66,29 +66,14 @@ class TestMatchAll:
         match_all(corpus, workers=2)
         assert [sorted(m.global_ids()) for m in corpus] == snapshots
 
-    def test_thread_fanout_deterministic(self, corpus):
-        serial = match_all(corpus)
-        threaded = match_all(corpus, workers=4)
-        assert [o.row()[:5] for o in serial.outcomes] == [
-            o.row()[:5] for o in threaded.outcomes
-        ]
-        assert [
-            (o.united, o.added, o.renamed, o.conflicts)
-            for o in serial.outcomes
-        ] == [
-            (o.united, o.added, o.renamed, o.conflicts)
-            for o in threaded.outcomes
-        ]
-
     def test_process_fanout_deterministic(self, corpus):
+        # workers > 1 runs the supervised coordinator on local worker
+        # processes; the rows are the in-process engine's, in order.
         serial = match_all(corpus)
-        pooled = match_all(corpus, workers=2, backend="process")
-        assert [
-            (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-            for o in serial.outcomes
-        ] == [
-            (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-            for o in pooled.outcomes
+        supervised = match_all(corpus, workers=2)
+        assert supervised.workers == 2
+        assert [o.key() for o in supervised.outcomes] == [
+            o.key() for o in serial.outcomes
         ]
 
     def test_conflict_counted(self):
@@ -115,23 +100,18 @@ class TestMatchAll:
         )
         assert all(o.united == 0 for o in matrix.outcomes)
 
-    def test_invalid_arguments(self, corpus):
+    def test_invalid_arguments(self, corpus, tmp_path):
         with pytest.raises(ValueError):
             match_all(corpus, workers=0)
         with pytest.raises(ValueError):
-            match_all(corpus, backend="fiber")
-
-    def test_options_fanout_fallback(self, corpus):
-        # ComposeOptions(workers=..., backend=...) drives the sweep
-        # when the keywords are omitted, exactly as compose_all does;
-        # explicit keywords still win.
-        matrix = match_all(corpus, ComposeOptions(workers=2))
-        assert matrix.workers == 2
-        overridden = match_all(corpus, ComposeOptions(workers=2), workers=1)
-        assert overridden.workers == 1
-        assert [o.key() for o in matrix.outcomes] == [
-            o.key() for o in overridden.outcomes
-        ]
+            match_all(corpus, workers=-1)
+        # The parallel sweep runs over a temporary out-dir: a store or
+        # a prescreen needs the in-process engine (or sweep
+        # --supervise, which the error names).
+        with pytest.raises(ValueError, match="sweep --supervise"):
+            match_all(corpus, workers=2, store=tmp_path / "store")
+        with pytest.raises(ValueError, match="sweep --supervise"):
+            match_all(corpus, workers=2, prescreen=True)
 
     def test_store_tier_transparent(self, corpus, tmp_path):
         from repro.core.artifact_store import ArtifactStore
@@ -146,44 +126,14 @@ class TestMatchAll:
 
 
 class TestDigestShipping:
-    """The format-5 worker boundary: process workers receive a
-    ``(label, digest)`` manifest and rehydrate each model from the
-    shared artifact store on first touch."""
-
-    def test_digest_shipped_matches_pickled_corpus(self, corpus, tmp_path):
-        from repro.core.artifact_store import ArtifactStore
-
-        serial = match_all(corpus)
-        shipped = match_all(
-            corpus,
-            workers=2,
-            backend="process",
-            store=tmp_path / "store",
-        )
-        pickled = match_all(
-            corpus,
-            workers=2,
-            backend="process",
-            store=tmp_path / "store2",
-            digest_shipping=False,
-        )
-        reference = [
-            (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-            for o in serial.outcomes
-        ]
-        for matrix in (shipped, pickled):
-            assert [
-                (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-                for o in matrix.outcomes
-            ] == reference
-        # The shipped run populated the store with blob-carrying
-        # (worker-rehydratable) entries, one per model.
-        store = ArtifactStore(tmp_path / "store")
-        assert len(store) == len(corpus)
+    """The worker boundary: every coordinator worker receives a
+    ``(label, digest)`` manifest in its ``welcome`` and rehydrates each
+    model from the sweep's artifact store on first touch."""
 
     def test_manifest_payload_does_not_grow_with_corpus(self, tmp_path):
-        """The acceptance number: the initargs payload is a few dozen
-        bytes per manifest entry, versus the full serialised corpus."""
+        """The acceptance number: the manifest a ``welcome`` carries
+        is a few dozen bytes per entry, versus the full serialised
+        corpus."""
         import pickle
 
         from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -212,24 +162,22 @@ class TestDigestShipping:
         assert per_entry < 200  # a label + a hex digest, flat
         assert per_entry < per_model / 5
 
-    def test_unwritable_store_falls_back_to_pickled_models(
-        self, corpus, monkeypatch, caplog
+    def test_unwritable_store_fails_before_workers_start(
+        self, corpus, monkeypatch
     ):
-        import logging
-
         from repro.core.artifact_store import ArtifactStore
+        from repro.core.coordinator import CoordinatorError, SweepCoordinator
 
         def refuse(self, digest, artifacts):
             raise OSError("read-only store")
 
+        def no_spawn(self):
+            raise AssertionError("a worker started on an unusable store")
+
         monkeypatch.setattr(ArtifactStore, "put", refuse)
-        serial = match_all(corpus)
-        with caplog.at_level(logging.WARNING, logger="repro.core.match_all"):
-            matrix = match_all(corpus, workers=2, backend="process")
-        assert "digest shipping disabled" in caplog.text
-        assert [o.key() for o in matrix.outcomes] == [
-            o.key() for o in serial.outcomes
-        ]
+        monkeypatch.setattr(SweepCoordinator, "_spawn_worker", no_spawn)
+        with pytest.raises(CoordinatorError, match="read-only store"):
+            match_all(corpus, workers=2)
 
     def test_rehydrate_miss_is_a_repro_error(self, corpus, tmp_path):
         from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -281,15 +229,13 @@ class TestDigestShipping:
             engine.run_pair(0, 1)
 
 
-class TestWorkerPoolError:
-    def test_worker_death_names_chunk_and_supervise(self, corpus, tmp_path):
-        """Chaos regression for the bare-``BrokenProcessPool`` bug: an
-        unsupervised process worker death must surface as a
-        :class:`WorkerPoolError` naming the pair range and pointing at
-        the supervised path."""
+class TestSupervisedWorkers:
+    def test_worker_death_is_retried(self, corpus, tmp_path):
+        """A worker SIGKILLed mid-pair costs a retry, not the sweep:
+        its shard is reassigned and the rows match the serial run."""
         from repro.core import chaos
-        from repro.core.match_all import WorkerPoolError
 
+        serial = match_all(corpus)
         spec = chaos.ChaosSpec(
             tmp_path,
             faults=[
@@ -297,16 +243,40 @@ class TestWorkerPoolError:
                     site="pair-start",
                     action="kill",
                     times=1,
-                    key="pool-kill",
+                    key="worker-kill",
                 )
             ],
         )
         with chaos.active(spec):
-            with pytest.raises(WorkerPoolError) as excinfo:
-                match_all(corpus, workers=2, backend="process")
+            matrix = match_all(corpus, workers=2)
+        assert [o.key() for o in matrix.outcomes] == [
+            o.key() for o in serial.outcomes
+        ]
+
+    def test_poison_pair_is_named(self, corpus, tmp_path):
+        """A pair that fails on every attempt is quarantined, and a
+        matrix with a missing row is an error that names the pair."""
+        from repro.core import chaos
+        from repro.core.coordinator import CoordinatorError
+
+        spec = chaos.ChaosSpec(
+            tmp_path,
+            faults=[
+                chaos.Fault(
+                    site="pair-start",
+                    action="raise",
+                    match={"i": 1, "j": 2},
+                    times=None,
+                    key="poison",
+                )
+            ],
+        )
+        with chaos.active(spec):
+            with pytest.raises(CoordinatorError) as excinfo:
+                match_all(corpus, workers=2)
         message = str(excinfo.value)
-        assert "pairs" in message
-        assert "sweep --supervise" in message
+        assert "(1, 2) [m2+m3]" in message
+        assert "ChaosError" in message
 
 
 class TestMatchAllSharded:

@@ -1,11 +1,11 @@
-"""Parallel plan execution: equivalence with serial, thread safety.
+"""Carried accumulator state and the thread safety of shared state.
 
-The contract of ``workers > 1`` is that scheduling changes wall time
-*only*: composed model, id mappings, provenance and step records must
-be identical to serial execution of the same plan.  These tests pin
-that contract for both backends, plus the concurrency regressions the
-executor's shared state invites (the ``compose()`` shim's
-once-per-process warning flag, sessions sharing a pool).
+Composition executes serially inside a session, but callers may still
+share caches across threads: two sessions composing concurrently, the
+``compose()`` shim's once-per-process warning flag, the synonym
+table's canonical memo.  These tests pin those concurrency
+regressions, plus the carried accumulator state every fold step
+hands to the next.
 """
 
 import concurrent.futures
@@ -14,16 +14,8 @@ import warnings
 
 import pytest
 
-from repro import (
-    ComposeOptions,
-    ComposeSession,
-    ModelBuilder,
-    compose,
-    compose_all,
-)
+from repro import ComposeSession, ModelBuilder, compose, compose_all
 from repro.core.compose import AccumState
-from repro.core.session import _tree_has_parallelism
-from repro.errors import ConflictError
 
 compose_module = importlib.import_module("repro.core.compose")
 
@@ -82,84 +74,6 @@ def fingerprint(result):
         },
         [(s.index, s.left, s.right, s.report.summary()) for s in result.steps],
     )
-
-
-class TestParallelEquivalence:
-    def test_thread_pool_matches_serial_tree(self, overlapping_models):
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = compose_all(overlapping_models, plan="tree", workers=4)
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_process_pool_matches_serial_tree(self, overlapping_models):
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = compose_all(
-            overlapping_models, plan="tree", workers=2, backend="process"
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_workers_via_options(self, overlapping_models):
-        options = ComposeOptions().parallel(3)
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = ComposeSession(options).compose_all(
-            overlapping_models, plan="tree"
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_left_spine_plans_unaffected_by_workers(self, overlapping_models):
-        # fold/greedy have no sibling independence; workers must be a
-        # no-op, not an error.
-        for plan in ("fold", "greedy"):
-            serial = compose_all(overlapping_models, plan=plan)
-            parallel = compose_all(overlapping_models, plan=plan, workers=4)
-            assert fingerprint(parallel) == fingerprint(serial), plan
-
-    def test_odd_model_count_and_empty_model(self):
-        empty = ModelBuilder("empty").build()
-        models = [
-            _module_model(f"m{i}", [f"S{i}", f"S{i + 1}"], parameter=f"k{i}")
-            for i in range(4)
-        ]
-        models.insert(2, empty)
-        serial = compose_all(models, plan="tree")
-        parallel = compose_all(models, plan="tree", workers=4)
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_step_indices_are_postorder_ranks(self, overlapping_models):
-        parallel = compose_all(overlapping_models, plan="tree", workers=4)
-        assert [step.index for step in parallel.steps] == list(
-            range(1, len(parallel.steps) + 1)
-        )
-
-    def test_strict_conflict_raises_through_pool(self):
-        a = _module_model("m1", ["A", "B"])
-        b = _module_model("m2", ["B", "C"])
-        c = _module_model("m3", ["A", "D"])
-        c.compartments[0].size = 99.0  # size conflict on "cell"
-        d = _module_model("m4", ["C", "D"])
-        session = ComposeSession(ComposeOptions.heavy().strict())
-        with pytest.raises(ConflictError):
-            session.compose_all([a, b, c, d], plan="tree", workers=4)
-
-    def test_invalid_workers_and_backend_rejected(self, overlapping_models):
-        with pytest.raises(ValueError):
-            compose_all(overlapping_models, workers=0)
-        with pytest.raises(ValueError):
-            compose_all(overlapping_models, backend="fiber")
-        with pytest.raises(ValueError):
-            ComposeOptions(workers=0)
-        with pytest.raises(ValueError):
-            ComposeOptions(backend="fiber")
-
-
-class TestTreeParallelismDetection:
-    def test_left_spine_has_none(self):
-        assert not _tree_has_parallelism((((0, 1), 2), 3))
-
-    def test_balanced_tree_has_some(self):
-        assert _tree_has_parallelism(((0, 1), (2, 3)))
-
-    def test_leaf_sibling_contributes_none(self):
-        assert not _tree_has_parallelism(((0, 1), 2))
 
 
 class TestIncrementalAccumState:
@@ -257,19 +171,15 @@ class TestIncrementalAccumState:
 
 class TestConcurrentSessions:
     def test_two_sessions_on_a_shared_pool(self, overlapping_models):
-        # Regression (issue satellite): PatternCache, the synonym
-        # memo and the session artifact memos are shared state; two
-        # sessions composing concurrently must not corrupt each other.
+        # Regression: PatternCache, the synonym memo and the session
+        # artifact memos are shared state; two sessions composing
+        # concurrently (each from two caller threads) must not
+        # corrupt each other.
         reference = fingerprint(compose_all(overlapping_models, plan="tree"))
         sessions = [ComposeSession() for _ in range(2)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(
-                    session.compose_all,
-                    overlapping_models,
-                    "tree",
-                    workers=2,
-                )
+                pool.submit(session.compose_all, overlapping_models, "tree")
                 for session in sessions
                 for _ in range(2)
             ]

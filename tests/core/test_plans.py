@@ -1,4 +1,4 @@
-"""Merge-plan invariants, cost hints and provenance guarantees."""
+"""Merge-plan invariants and provenance guarantees."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core.plan import (
     GreedySimilarityPlan,
     LeftFoldPlan,
     MergePlan,
-    estimate_costs,
     make_plan,
     plan_names,
 )
@@ -103,57 +102,6 @@ class TestPlanTrees:
         assert sorted(s.id for s in result.model.species) == [
             "A", "B", "C", "D",
         ]
-
-
-class TestCostModel:
-    def test_leaf_sizes_are_network_sizes(self, model_set):
-        tree = BalancedTreePlan().tree(model_set, ComposeOptions())
-        hints = estimate_costs(tree, model_set, ComposeOptions())
-        for index, model in enumerate(model_set):
-            assert hints.sizes[index] == float(model.network_size())
-
-    def test_every_merge_node_costed(self, model_set):
-        options = ComposeOptions()
-        tree = BalancedTreePlan().tree(model_set, options)
-        hints = estimate_costs(tree, model_set, options)
-        # 4 models -> 3 internal nodes, each with a positive cost.
-        assert len(hints.costs) == 3
-        assert all(cost > 0 for cost in hints.costs.values())
-
-    def test_overlap_shrinks_size_estimate(self):
-        def module(model_id, species):
-            builder = ModelBuilder(model_id).compartment("cell", size=1.0)
-            for name in species:
-                builder = builder.species(name, 1.0)
-            return builder.build()
-
-        options = ComposeOptions()
-        disjoint = [module("d1", ["A", "B"]), module("d2", ["C", "D"])]
-        identical = [module("i1", ["A", "B"]), module("i2", ["A", "B"])]
-        disjoint_hints = estimate_costs((0, 1), disjoint, options)
-        identical_hints = estimate_costs((0, 1), identical, options)
-        assert identical_hints.sizes[(0, 1)] < disjoint_hints.sizes[(0, 1)]
-
-    def test_critical_path_grows_toward_root(self, model_set):
-        options = ComposeOptions()
-        tree = BalancedTreePlan().tree(model_set, options)
-        hints = estimate_costs(tree, model_set, options)
-        left, right = tree
-        assert hints.critical[tree] > hints.critical[left]
-        assert hints.critical[tree] > hints.critical[right]
-        assert hints.priority(tree) == hints.critical[tree]
-        assert hints.priority(0) == 0.0  # leaves carry no merge cost
-
-    def test_deep_fold_tree_does_not_recurse(self):
-        models = [
-            ModelBuilder(f"m{i}").compartment("cell", size=1.0)
-            .species(f"S{i}", 1.0).build()
-            for i in range(1200)
-        ]
-        options = ComposeOptions()
-        tree = LeftFoldPlan().tree(models, options)
-        hints = estimate_costs(tree, models, options)
-        assert len(hints.costs) == 1199
 
 
 class TestPlanInvariants:

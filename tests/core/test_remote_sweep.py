@@ -5,21 +5,18 @@ spawn ``sbmlcompose worker`` subprocesses against a listening
 coordinator and pin the promises the remote boundary makes — a worker
 with an *empty* local store completes shards through digest-fetch
 alone, a remote death mid-shard is stolen and retried exactly like a
-local pipe-worker death, a coordinator without a manifest refuses
-remote workers at the handshake, and a chaos-dropped accept kills only
-the dropped worker.
+local worker death, and a chaos-dropped accept kills only the dropped
+worker.
 """
 
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core import chaos
-from repro.core import transport
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 from repro.core.match_all import match_all
@@ -195,55 +192,6 @@ class TestRemoteDeath:
 
 
 class TestHandshakeRejection:
-    def test_manifestless_coordinator_rejects_remote(
-        self, corpus, fingerprint, tmp_path
-    ):
-        # Digest shipping off => no manifest => a remote worker has no
-        # way to obtain models; the coordinator must refuse it at the
-        # handshake with a reason, while the local sweep proceeds.
-        out = tmp_path / "sweep"
-        out.mkdir()
-        # Stall the local worker's first chunk so the sweep is still
-        # alive while we dial in from this thread.
-        spec = chaos.ChaosSpec(
-            out,
-            faults=[
-                chaos.Fault(
-                    site="chunk-start",
-                    action="stall",
-                    match={"worker": "w1"},
-                    stall_seconds=3.0,
-                    times=1,
-                    key="hold-open",
-                )
-            ],
-        )
-        coordinator = _coordinator(
-            corpus, fingerprint, out, digest_shipping=False
-        )
-        _, port = coordinator.listen_address
-        result = {}
-
-        def sweep():
-            result["report"] = coordinator.run()
-
-        with chaos.active(spec):
-            thread = threading.Thread(target=sweep)
-            thread.start()
-            try:
-                conn = transport.connect("127.0.0.1", port)
-                try:
-                    with pytest.raises(transport.HandshakeError) as excinfo:
-                        transport.client_handshake(
-                            conn, host="box-b", pid=os.getpid(), has_store=False
-                        )
-                finally:
-                    conn.close()
-            finally:
-                thread.join(timeout=120)
-        assert "digest shipping" in str(excinfo.value)
-        assert result["report"].exit_code == 0
-
     def test_net_accept_drop_kills_only_the_dropped_worker(
         self, corpus, fingerprint, reference_keys, tmp_path
     ):

@@ -126,6 +126,23 @@ class TestFluentOptions:
         assert base.conflicts == "warn"
         assert base.index == "hash"
 
+    def test_pickles_with_removed_fields_still_load(self):
+        # options.pkl files in existing stores and corpus indexes were
+        # written when ComposeOptions still had workers/backend fields.
+        import pickle
+
+        from repro.core.compose import index_options_key
+
+        legacy = ComposeOptions.light()
+        legacy.__dict__.update(workers=4, backend="process")
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert index_options_key(restored) == index_options_key(
+            ComposeOptions.light()
+        )
+        assert self._fields_except_synonyms(
+            restored.strict()
+        ) == self._fields_except_synonyms(ComposeOptions.light().strict())
+
     def test_overrides_pass_through(self):
         options = ComposeOptions.heavy(value_tolerance=1e-3)
         assert options.value_tolerance == 1e-3

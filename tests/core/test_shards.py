@@ -89,7 +89,7 @@ class TestPartitionPairs:
 
     def test_cost_mirrors_plan_cost_model(self):
         assert pair_cost(10, 20) == 30.0
-        assert pair_cost(0, 0) == 1.0  # floor, as in estimate_costs
+        assert pair_cost(0, 0) == 1.0  # floored at one unit of work
 
 
 class TestSweepCheckpoint:

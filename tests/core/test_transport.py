@@ -209,12 +209,21 @@ class TestAddressesAndFingerprints:
     def test_parse_address(self):
         assert parse_address("box-a:9000") == ("box-a", 9000)
         assert parse_address("127.0.0.1:1") == ("127.0.0.1", 1)
-        # Bare ":port" binds every interface.
-        assert parse_address(":9000") == ("0.0.0.0", 9000)
+        # Bare ":port" binds loopback only: the frames are pickles.
+        assert parse_address(":9000") == ("127.0.0.1", 9000)
+        # Every interface has to be asked for by name.
+        assert parse_address("0.0.0.0:9000") == ("0.0.0.0", 9000)
+        assert parse_address(":0") == ("127.0.0.1", 0)
+        assert parse_address(":65535") == ("127.0.0.1", 65535)
 
     @pytest.mark.parametrize("bad", ["box-a", "box-a:", ":", "a:b", ""])
     def test_parse_address_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
+            parse_address(bad)
+
+    @pytest.mark.parametrize("bad", [":65536", ":99999", "box-a:100000"])
+    def test_parse_address_rejects_out_of_range_port(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
             parse_address(bad)
 
     def test_fingerprint_stable_and_none_means_defaults(self):

@@ -118,21 +118,6 @@ def test_merge_three_models_with_tree_plan(three_model_files, tmp_path, capsys):
     assert "PROVENANCE D <- c:D" in log_text
 
 
-def test_merge_parallel_tree_matches_serial(three_model_files, tmp_path):
-    path_a, path_b, path_c = three_model_files
-    serial_out = tmp_path / "serial.xml"
-    parallel_out = tmp_path / "parallel.xml"
-    assert main(
-        ["merge", str(path_a), str(path_b), str(path_c),
-         "-o", str(serial_out), "--plan", "tree"]
-    ) == 0
-    assert main(
-        ["merge", str(path_a), str(path_b), str(path_c),
-         "-o", str(parallel_out), "--plan", "tree", "--workers", "4"]
-    ) == 0
-    assert parallel_out.read_text() == serial_out.read_text()
-
-
 def test_sweep_to_terminal(three_model_files, capsys):
     path_a, path_b, path_c = three_model_files
     code = main(["sweep", str(path_a), str(path_b), str(path_c)])
@@ -156,6 +141,56 @@ def test_sweep_to_csv_no_self(three_model_files, tmp_path, capsys):
     assert lines[0].startswith("i,j,left,right,combined_size")
     assert len(lines) == 4  # header + C(3,2) pairs
     assert "3 pairs" in capsys.readouterr().err
+
+
+def test_sweep_workers_byte_identical(three_model_files, tmp_path, capsys):
+    """``sweep --workers 2`` runs the supervised coordinator over a
+    temporary out-dir; its deterministic CSV is the in-process one."""
+    paths = [str(path) for path in three_model_files]
+    serial = tmp_path / "serial.csv"
+    supervised = tmp_path / "supervised.csv"
+    assert main(["sweep", *paths, "--deterministic", "-o", str(serial)]) == 0
+    assert main(
+        ["sweep", *paths, "--workers", "2", "--deterministic",
+         "-o", str(supervised)]
+    ) == 0
+    assert supervised.read_bytes() == serial.read_bytes()
+    assert "workers=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--supervise", "--out-dir", "OUT"]],
+    ids=["unsharded", "supervised"],
+)
+def test_sweep_negative_workers_rejected(
+    model_files, tmp_path, capsys, extra
+):
+    paths = [str(path) for path in model_files]
+    extra = [str(tmp_path / "d") if arg == "OUT" else arg for arg in extra]
+    assert main(["sweep", *paths, *extra, "--workers", "-1"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_sweep_sharded_workers_need_supervise(model_files, tmp_path, capsys):
+    paths = [str(path) for path in model_files]
+    out_dir = tmp_path / "d"
+    assert main(
+        ["sweep", *paths, "--shards", "2", "--workers", "2",
+         "--out-dir", str(out_dir)]
+    ) == 2
+    assert "add --supervise" in capsys.readouterr().err
+
+
+def test_sweep_listen_port_out_of_range(model_files, tmp_path, capsys):
+    paths = [str(path) for path in model_files]
+    assert main(
+        ["sweep", *paths, "--supervise", "--out-dir", str(tmp_path / "d"),
+         "--listen", ":99999"]
+    ) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "out of range" in err[0]
 
 
 def test_sweep_single_model_rejected(model_files, capsys):
