@@ -46,6 +46,7 @@ from typing import (
     Union,
 )
 
+from repro._gc import gc_paused
 from repro.core import chaos
 from repro.core.compose import ModelIndexSet, _collect_initial_values
 from repro.core.pattern_cache import PatternCache, model_pattern_table
@@ -175,6 +176,7 @@ class ModelArtifacts:
     sbml: Optional[str] = None
 
 
+@gc_paused
 def compute_artifacts(
     model: Model,
     with_patterns: bool = True,

@@ -87,6 +87,7 @@ from typing import (
 
 import numpy as np
 
+from repro._gc import gc_paused
 from repro.core import chaos
 from repro.core.compose import index_options_key
 from repro.core.options import ComposeOptions
@@ -522,6 +523,7 @@ class CorpusIndex:
 
     # -- maintenance ---------------------------------------------------
 
+    @gc_paused
     def add(
         self,
         model: Model,
@@ -798,6 +800,7 @@ class CorpusIndex:
 
     # -- queries -------------------------------------------------------
 
+    @gc_paused
     def query(self, signature: ModelSignature) -> List[QueryHit]:
         """Classify every live model against one query signature.
 
@@ -1138,6 +1141,7 @@ class CorpusIndex:
         return payload
 
     @classmethod
+    @gc_paused
     def load(cls, path: Union[str, Path]) -> "CorpusIndex":
         path = Path(path)
         if path.is_file():

@@ -56,6 +56,7 @@ from typing import (
     Union,
 )
 
+from repro._gc import gc_paused
 from repro.core import chaos
 from repro.core.artifact_store import (
     ArtifactStore,
@@ -529,6 +530,7 @@ class _PairEngine:
             self._sizes[index] = size
         return size
 
+    @gc_paused
     def run_pair(self, i: int, j: int) -> PairOutcome:
         # Chaos injection site: a "kill" fault here is a worker dying
         # mid-pair, a "raise" fault is a poison pair, a "stall" fault

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro._gc import gc_paused
 from repro.core.artifact_store import (
     ArtifactStore,
     compute_artifacts,
@@ -495,6 +496,7 @@ class ComposeSession:
                 values.append(value)
         return values[0]
 
+    @gc_paused
     def _merge_pair(
         self,
         left_value: _NodeValue,

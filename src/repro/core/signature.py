@@ -83,6 +83,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro._gc import gc_paused
 from repro.core.compose import ModelIndexSet, index_options_key
 from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
@@ -293,6 +294,7 @@ class ModelSignature:
     self_clean: bool
 
     @classmethod
+    @gc_paused
     def build(
         cls,
         model: Model,

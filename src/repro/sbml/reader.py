@@ -11,8 +11,9 @@ simplified MIRIAM scheme described in
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
+from repro._gc import gc_paused
 from repro.errors import MathParseError, SBMLParseError
 from repro.mathml.ast import Lambda
 from repro.mathml.parser import parse_math_element
@@ -104,8 +105,10 @@ def _int(element: ET.Element, attr: str, default: Optional[int] = None) -> Optio
         raise SBMLParseError(f"bad integer {raw!r} for attribute {attr!r}") from exc
 
 
-def read_sbml(text: str) -> Document:
-    """Parse an SBML document from a string."""
+@gc_paused
+def read_sbml(text: Union[str, bytes]) -> Document:
+    """Parse an SBML document from a string, or from bytes whose
+    encoding the XML declaration names (UTF-8 when it names none)."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -124,8 +127,9 @@ def read_sbml(text: str) -> Document:
 
 
 def read_sbml_file(path) -> Document:
-    """Parse an SBML document from a file path."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse an SBML document from a file path.  The file is read as
+    bytes, so the parser honours its XML declaration's encoding."""
+    with open(path, "rb") as handle:
         return read_sbml(handle.read())
 
 
@@ -229,12 +233,13 @@ def _read_unit_definition(element: ET.Element) -> UnitDefinition:
             raise SBMLParseError(
                 f"<unit> without kind in unitDefinition {definition.id!r}"
             )
+        multiplier = _float(item, "multiplier")
         definition.units.append(
             Unit(
                 kind=kind,
                 exponent=_int(item, "exponent", 1),
                 scale=_int(item, "scale", 0),
-                multiplier=_float(item, "multiplier") or 1.0,
+                multiplier=1.0 if multiplier is None else multiplier,
             )
         )
     return definition

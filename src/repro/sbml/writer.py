@@ -11,6 +11,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Optional
 
+from repro._gc import gc_paused
 from repro.mathml.ast import MathNode
 from repro.mathml.writer import math_to_element
 from repro.sbml.components import (
@@ -40,6 +41,7 @@ _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _BQBIOL_NS = "http://biomodels.net/biology-qualifiers/"
 
 
+@gc_paused
 def write_sbml(document_or_model, indent: Optional[str] = "  ") -> str:
     """Serialise a :class:`Document` (or bare :class:`Model`) to XML."""
     if isinstance(document_or_model, Model):

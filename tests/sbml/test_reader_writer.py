@@ -1,7 +1,11 @@
 """Round-trip and parsing tests for the SBML reader/writer."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.corpus.biomodels_like import generate_model
 from repro.errors import SBMLParseError
 from repro.mathml import parse_infix
 from repro.sbml import (
@@ -231,3 +235,75 @@ def test_file_round_trip(tmp_path):
     restored = read_sbml_file(path).model
     assert restored.id == model.id
     assert restored.component_count() == model.component_count()
+
+
+def _assert_round_trip(model):
+    text = write_sbml(model)
+    assert write_sbml(read_sbml(text).model) == text
+
+
+def _fixed_models():
+    from repro.corpus import curated
+
+    models = [
+        pytest.param(getattr(curated, name)(), id=name)
+        for name in curated.__all__
+    ]
+    zero = (
+        ModelBuilder("zero_multiplier")
+        .unit("nothing", [("second", 1, 0, 0.0)])
+        .unit("scaled", [("mole", 1, -3, 0.5), ("litre", -1, 0, 1.0)])
+        .compartment("cell", size=1.0)
+        .species("A", 1.0)
+        .parameter("k", 0.5, units="nothing")
+        .build()
+    )
+    models.append(pytest.param(zero, id="zero-multiplier"))
+    return models
+
+
+@pytest.mark.parametrize("model", _fixed_models())
+def test_write_read_write_is_byte_identical(model):
+    _assert_round_trip(model)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), nodes=st.integers(0, 120))
+def test_write_read_write_is_byte_identical_for_generated_models(seed, nodes):
+    _assert_round_trip(generate_model(seed, nodes, np.random.default_rng(seed)))
+
+
+def test_zero_multiplier_survives_the_round_trip():
+    text = EXAMPLE.replace(
+        '<unit kind="second" exponent="-1"/>',
+        '<unit kind="second" exponent="-1" multiplier="0"/>',
+    )
+    unit = read_sbml(text).model.get_unit_definition("per_second").units[0]
+    assert unit.multiplier == 0.0
+    absent = read_sbml(EXAMPLE).model.get_unit_definition("per_second")
+    assert absent.units[0].multiplier == 1.0
+
+
+def test_file_honours_declared_encoding(tmp_path):
+    from repro.sbml import read_sbml_file
+
+    text = EXAMPLE.replace(
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<?xml version='1.0' encoding='ISO-8859-1'?>",
+    ).replace('name="Example model"', 'name="Modèle exemple"')
+    path = tmp_path / "latin1.xml"
+    path.write_bytes(text.encode("iso-8859-1"))
+    assert read_sbml_file(path).model.name == "Modèle exemple"
+    assert read_sbml(text.encode("iso-8859-1")).model.name == "Modèle exemple"
+
+
+def test_file_with_undecodable_bytes_is_a_parse_error(tmp_path):
+    from repro.sbml import read_sbml_file
+
+    path = tmp_path / "bad.xml"
+    # Declared (by default) UTF-8, but 0xe9 alone is not valid UTF-8.
+    path.write_bytes(
+        EXAMPLE.encode("utf-8").replace(b"Example model", b"Mod\xe9le")
+    )
+    with pytest.raises(SBMLParseError, match="malformed SBML XML"):
+        read_sbml_file(path)

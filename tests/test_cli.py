@@ -303,6 +303,31 @@ def test_missing_file_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_merge_reads_declared_latin1_file(model_files, tmp_path, capsys):
+    path_a, path_b = model_files
+    latin1 = tmp_path / "latin1.xml"
+    text = path_b.read_text(encoding="utf-8")
+    text = text.replace(
+        "<?xml version='1.0' encoding='utf-8'?>",
+        "<?xml version='1.0' encoding='ISO-8859-1'?>",
+    ).replace('<model id="b"', '<model id="b" name="Modèle"')
+    assert "ISO-8859-1" in text
+    latin1.write_bytes(text.encode("iso-8859-1"))
+    out = tmp_path / "merged.xml"
+    assert main(["merge", str(path_a), str(latin1), "-o", str(out)]) == 0
+    assert out.exists()
+
+
+def test_undecodable_file_is_a_parse_error(model_files, tmp_path, capsys):
+    path_a, _ = model_files
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(
+        path_a.read_bytes().replace(b'<model id="a"', b'<model id="a\xe9"')
+    )
+    assert main(["merge", str(path_a), str(bad)]) == 2
+    assert "malformed SBML XML" in capsys.readouterr().err
+
+
 def test_strict_merge_conflict(tmp_path):
     a = (
         ModelBuilder("a").compartment("cell", size=1.0)
