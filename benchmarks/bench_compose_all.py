@@ -12,7 +12,9 @@ merge plan choose the order.
 
 This benchmark measures all of it on a 10-model corpus chain (models
 in generation order, the order a real workload would hand them over
-in), plus the batched all-pairs engine on the subsampled corpus, and
+in), times the three plans again on a 60-model chain, where any cost
+that grows with the accumulator on every step shows as a quadratic
+term, plus the batched all-pairs engine on the subsampled corpus, and
 records the numbers machine-readably in ``BENCH_compose.json`` at the
 repo root so the perf trajectory is tracked across PRs.
 
@@ -47,6 +49,10 @@ from benchmarks._common import emit, write_csv
 
 #: Number of models in the chain (the acceptance scenario).
 CHAIN_LENGTH = 10
+
+#: Number of models in the long chain, where per-step costs that grow
+#: with the accumulator add up to a quadratic term.
+LONG_CHAIN_LENGTH = 60
 
 #: Machine-readable results, tracked across PRs at the repo root.
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compose.json"
@@ -91,12 +97,24 @@ def _best_of(fn: Callable[[], object], rounds: int) -> float:
     return best
 
 
+def long_chain_models(seed: int = 42) -> List[Model]:
+    """``LONG_CHAIN_LENGTH`` corpus models in generation order."""
+    return generate_corpus(LONG_CHAIN_LENGTH, seed=seed)
+
+
+def time_plans(models: Sequence[Model], rounds: int = 5):
+    """(plan, seconds) for each session plan, best of ``rounds``."""
+    return [
+        (plan, _best_of(lambda: session_compose(models, plan), rounds))
+        for plan in ("fold", "tree", "greedy")
+    ]
+
+
 def compare(models: Sequence[Model], rounds: int = 5):
     """(label, seconds, speedup-vs-naive) for each strategy."""
     naive = _best_of(lambda: naive_cold_fold(models), rounds)
     rows = [("naive-cold-fold", naive, 1.0)]
-    for plan in ("fold", "tree", "greedy"):
-        seconds = _best_of(lambda: session_compose(models, plan), rounds)
+    for plan, seconds in time_plans(models, rounds):
         rows.append((f"session-{plan}", seconds, naive / seconds))
     return rows
 
@@ -184,7 +202,7 @@ def _read_committed_baseline() -> dict:
 
 
 def write_bench_json(
-    rows, allpairs: dict, rounds: int, smoke: bool
+    rows, long_chain: dict, allpairs: dict, rounds: int, smoke: bool
 ) -> Path:
     """Record the run in BENCH_compose.json (pairs/sec, wall time per
     plan) for cross-PR tracking.
@@ -211,6 +229,7 @@ def write_bench_json(
             }
             for label, seconds, speedup in rows
         },
+        "long_chain": long_chain,
         "allpairs": allpairs,
         **{
             section: committed[section]
@@ -278,6 +297,26 @@ def main(argv=None) -> int:
         [(label, f"{s:.6f}", f"{x:.3f}") for label, s, x in rows],
     )
 
+    long_models = long_chain_models(seed=args.seed)
+    long_rows = time_plans(long_models, rounds=args.rounds)
+    print(f"\ncompose_all — {LONG_CHAIN_LENGTH}-model corpus chain "
+          f"(best of {args.rounds})")
+    for plan, seconds in long_rows:
+        print(f"{'session-' + plan:>18} {seconds * 1000:>10.2f} ms")
+    long_chain = {
+        "models": LONG_CHAIN_LENGTH,
+        "seed": args.seed,
+        "plans": {
+            plan: {
+                "seconds": round(seconds, 6),
+                "steps_per_second": round(
+                    (LONG_CHAIN_LENGTH - 1) / seconds, 1
+                ),
+            }
+            for plan, seconds in long_rows
+        },
+    }
+
     baseline = _read_committed_baseline()
     allpairs = _allpairs_numbers(
         args.seed, args.stride, args.workers, rounds=args.allpairs_rounds
@@ -290,7 +329,9 @@ def main(argv=None) -> int:
         f"workers={allpairs['workers']})"
     )
 
-    path = write_bench_json(rows, allpairs, args.rounds, args.smoke)
+    path = write_bench_json(
+        rows, long_chain, allpairs, args.rounds, args.smoke
+    )
     print(f"machine-readable results: {path}")
 
     if args.gate_allpairs:

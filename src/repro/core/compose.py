@@ -30,7 +30,8 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ConflictError, MathError
@@ -138,6 +139,15 @@ class AccumState:
     target's value, exactly as re-collection would read them off the
     merged model, since conflicts keep the first model's attribute).
 
+    ``indexes`` carries the accumulator's Figure 5 phase indexes the
+    same way: per phase, a live base index over the target's component
+    list, the count of components it covers and the last covered
+    component.  A chained step extends a phase's base at phase start
+    with rows for the components appended since (see
+    :meth:`_MergeState.phase_index`), so a fold indexes each merged
+    component once instead of re-indexing the whole accumulator every
+    step.
+
     The state is only valid for the exact model object it was produced
     with; it must be dropped when the model is copied or mutated
     outside the engine.
@@ -146,6 +156,9 @@ class AccumState:
     used_ids: Set[str]
     registry: UnitRegistry
     initial: Dict[str, float]
+    indexes: Dict[str, Tuple[ComponentIndex, int, object]] = field(
+        default_factory=dict
+    )
 
 
 class Composer:
@@ -241,6 +254,12 @@ class Composer:
         * ``source_state`` supplies ``second``'s artifacts the same
           way (an executed subtree already knows its registry and
           initial values).
+        * With ``carry_state`` (the default), phases whose target-side
+          keys are valid under the empty mapping probe the carried
+          :attr:`AccumState.indexes` bases (started here when there is
+          no ``target_state``) through a copy-on-write
+          :class:`~repro.core.index.OverlayIndex`, extending each base
+          only with the components appended since it was last used.
         * ``ephemeral`` marks the composed model as disposable (the
           all-pairs engine discards every merged model on the spot):
           adopted reactions then share their *unmutated* participant
@@ -286,6 +305,9 @@ class Composer:
             # Derived artifacts reference the original's component
             # objects; they are not carried across a copy.
             target_state = None
+        carried = None
+        if carry_state:
+            carried = target_state.indexes if target_state is not None else {}
         indexes: Optional[BoundIndexSet] = None
         if target_indexes is not None:
             if isinstance(target_indexes, ModelIndexSet):
@@ -341,6 +363,7 @@ class Composer:
             source_owned=source_owned,
             ephemeral=ephemeral,
             indexes=indexes,
+            carried=carried,
         )
 
         # Figure 4 phase order, each phase timed into report.timings.
@@ -393,6 +416,7 @@ class Composer:
             used_ids=state.used_ids,
             registry=state.target_registry,
             initial=target_initial,
+            indexes=state.carried,
         )
 
 
@@ -414,6 +438,7 @@ class _MergeState:
         source_owned: bool = False,
         ephemeral: bool = False,
         indexes: Optional["BoundIndexSet"] = None,
+        carried: Optional[Dict[str, Tuple[ComponentIndex, int, object]]] = None,
     ):
         self.target = target
         self.source = source
@@ -428,6 +453,10 @@ class _MergeState:
         self.source_owned = source_owned
         self.ephemeral = ephemeral
         self.indexes = indexes
+        self.carried = carried
+        # The empty-mapping keyer that extends carried bases (built on
+        # first use).
+        self._keyer: Optional[_MergeState] = None
         # Ids claimed for components *added* by this merge (as opposed
         # to united into existing target components) — the carried
         # initial-value env absorbs source values for these only.
@@ -495,19 +524,58 @@ class _MergeState:
         exactly while the mapping table is empty (every recorded entry
         is non-identity by construction, so an empty table means every
         resolve is the identity and every math restriction is empty).
-        Otherwise — or with no artifact attached — the index is built
+        A chained session step (``carried`` attached) serves the same
+        phases the same way from the accumulator's carried base, which
+        :meth:`_carried_base` first brings up to date with the target.
+        Otherwise — or with no base attached — the index is built
         fresh from the live target, exactly as every merge used to.
         """
-        bound = self.indexes
-        if bound is not None and (
-            name in _MAPPING_FREE_PHASES or not self.mapping._table
-        ):
-            return OverlayIndex(bound.for_phase(name), self.options.index)
+        if name in _MAPPING_FREE_PHASES or not self.mapping._table:
+            if self.indexes is not None:
+                base = self.indexes.for_phase(name)
+                return OverlayIndex(base, self.options.index)
+            if self.carried is not None:
+                base = self._carried_base(name)
+                return OverlayIndex(base, self.options.index)
         index = make_index(self.options.index)
         components = getattr(self.target, _PHASE_LISTS[name])
         for position, keys in _ROW_BUILDERS[name](self, self.target):
             index.add(keys, components[position])
         return index
+
+    def _carried_base(self, name: str) -> ComponentIndex:
+        """The carried base for one phase, extended with rows for the
+        target components appended since it last covered the list.
+
+        Rows are keyed by the empty-mapping keyer, not by this step's
+        state — function-definition keys go through :meth:`math_key`,
+        which reads the live mapping — so the base always holds the
+        rows a fresh build under the empty mapping would.  The engine
+        only ever appends to a target's lists, so the covered prefix
+        stays indexed exactly; if the list shrank or its last covered
+        component is not the same object, the base is rebuilt from
+        scratch.
+        """
+        components = getattr(self.target, _PHASE_LISTS[name])
+        entry = self.carried.get(name)
+        if entry is not None and entry[1] <= len(components) and (
+            not entry[1] or components[entry[1] - 1] is entry[2]
+        ):
+            base, covered, _ = entry
+        else:
+            base, covered = make_index(self.options.index), 0
+        if covered < len(components):
+            if self._keyer is None:
+                self._keyer = _index_keyer(
+                    self.target, self.options, self._pattern_cache
+                )
+            for position, keys in _ROW_BUILDERS[name](
+                self._keyer, self.target, covered
+            ):
+                base.add(keys, components[position])
+            base.freeze()
+            self.carried[name] = (base, len(components), components[-1])
+        return base
 
     def _flat(self) -> Dict[str, str]:
         """The chain-resolved mapping (cached per version by
@@ -696,15 +764,22 @@ def _try_evaluate(
         return None
 
 
+def _from(components, start: int):
+    """``(position, component)`` pairs of a component list from
+    ``start`` on — the row builders' enumerator, so a carried base can
+    be extended with only the components appended since it was built."""
+    return enumerate(islice(components, start, None), start)
+
+
 # ---------------------------------------------------------------------------
 # Phase: function definitions
 # ---------------------------------------------------------------------------
 
 
 def _rows_function_definitions(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, fd in enumerate(model.function_definitions):
+    for position, fd in _from(model.function_definitions, start):
         keys = [f"id:{fd.id}"]
         if fd.math is not None:
             keys.append(state.math_key(fd.math))
@@ -748,9 +823,9 @@ def _unit_key(definition: UnitDefinition) -> str:
 
 
 def _rows_unit_definitions(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, ud in enumerate(model.unit_definitions):
+    for position, ud in _from(model.unit_definitions, start):
         yield position, (f"id:{ud.id}", _unit_key(ud))
 
 
@@ -793,28 +868,28 @@ def _claim_unit_id(state: _MergeState, definition: UnitDefinition) -> None:
 
 
 def _rows_keys_for(
-    state: "_MergeState", components
+    state: "_MergeState", components, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
     """Index rows for any phase keyed by :meth:`_MergeState.keys_for`
     (compartment types, species types, compartments, parameters)."""
-    for position, component in enumerate(components):
+    for position, component in _from(components, start):
         yield position, tuple(state.keys_for(component))
 
 
-def _rows_compartment_types(state, model):
-    return _rows_keys_for(state, model.compartment_types)
+def _rows_compartment_types(state, model, start=0):
+    return _rows_keys_for(state, model.compartment_types, start)
 
 
-def _rows_species_types(state, model):
-    return _rows_keys_for(state, model.species_types)
+def _rows_species_types(state, model, start=0):
+    return _rows_keys_for(state, model.species_types, start)
 
 
-def _rows_compartments(state, model):
-    return _rows_keys_for(state, model.compartments)
+def _rows_compartments(state, model, start=0):
+    return _rows_keys_for(state, model.compartments, start)
 
 
-def _rows_parameters(state, model):
-    return _rows_keys_for(state, model.parameters)
+def _rows_parameters(state, model, start=0):
+    return _rows_keys_for(state, model.parameters, start)
 
 
 def _compose_simple_named(state: _MergeState, kind: str, phase: str, source_list, adder):
@@ -911,9 +986,9 @@ def _check_compartment_conflicts(state: _MergeState, first, second) -> None:
 
 
 def _rows_species(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, species in enumerate(model.species):
+    for position, species in _from(model.species, start):
         yield position, tuple(_species_keys(state, species, mapped=False))
 
 
@@ -1154,9 +1229,9 @@ _MergeState.claim_id_for_parameter_clash = (
 
 
 def _rows_initial_assignments(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, ia in enumerate(model.initial_assignments):
+    for position, ia in _from(model.initial_assignments, start):
         yield position, (f"symbol:{ia.symbol}",)
 
 
@@ -1238,9 +1313,9 @@ def _rule_kind(rule) -> str:
 
 
 def _rows_rules(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, rule in enumerate(model.rules):
+    for position, rule in _from(model.rules, start):
         yield position, tuple(_rule_keys(state, rule, mapped=False))
 
 
@@ -1318,9 +1393,9 @@ def _build_rule_keys(state: _MergeState, rule, mapped: bool) -> List[str]:
 
 
 def _rows_constraints(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, constraint in enumerate(model.constraints):
+    for position, constraint in _from(model.constraints, start):
         if constraint.math is not None:
             yield position, (state.math_key(constraint.math),)
 
@@ -1445,9 +1520,9 @@ def _law_comparison_math(
 
 
 def _rows_reactions(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, reaction in enumerate(model.reactions):
+    for position, reaction in _from(model.reactions, start):
         yield position, (
             f"id:{reaction.id}",
             _reaction_signature(state, reaction, mapped=False),
@@ -1717,9 +1792,9 @@ def _build_event_key(state: _MergeState, event: Event, mapped: bool) -> str:
 
 
 def _rows_events(
-    state: "_MergeState", model: Model
+    state: "_MergeState", model: Model, start: int = 0
 ) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, event in enumerate(model.events):
+    for position, event in _from(model.events, start):
         yield position, (
             f"id:{event.id}",
             _event_key(state, event, mapped=False),

@@ -512,9 +512,11 @@ class ComposeSession:
             registry, initial = self._source_artifacts(right)
         # Prebuilt index rows only ever attach to unowned *leaf*
         # targets (bound to the fresh copy compose_step makes).  An
-        # owned accumulator has been mutated by earlier steps —
-        # including source_owned component moves — so no shared,
-        # prebuilt base could describe it.
+        # owned accumulator has grown by earlier steps — including
+        # source_owned component moves — so no shared, prebuilt base
+        # could describe it; it carries its own phase indexes in its
+        # state instead, which compose_step extends with the
+        # components each step appends.
         target_rows = (
             self._leaf_index_rows(left) if not left_value.owned else None
         )
@@ -575,11 +577,15 @@ class ComposeSession:
         target id ``glc`` plus an unrelated source parameter ``glc``
         renamed to ``glc_m2``), a walk would misattribute the united
         species to the renamed parameter.
+
+        ``target_prov`` is updated in place and returned: every node
+        value owns its provenance dict (leaves build a fresh one), and
+        the step consumes the target's value, so copying it — the last
+        O(accumulator) copy per step — would buy nothing.
         """
-        merged = dict(target_prov)
         for source_id, entry in source_prov.items():
             final = report.mappings.get(source_id, source_id)
-            existing = merged.get(final)
+            existing = target_prov.get(final)
             if existing is not None:
                 for origin in entry.origins:
                     if origin not in existing.origins:
@@ -588,10 +594,10 @@ class ComposeSession:
                 history = list(entry.history)
                 if not history or history[-1] != final:
                     history.append(final)
-                merged[final] = ProvenanceEntry(
+                target_prov[final] = ProvenanceEntry(
                     id=final, origins=list(entry.origins), history=history
                 )
-        return merged
+        return target_prov
 
     @staticmethod
     def _merged_report(

@@ -5,7 +5,8 @@ the models to be composed, to ensure only valid models are merged";
 SBMLCompose relies on the same rules when detecting conflicting
 components.  This module implements the checks both engines need:
 reference integrity, id uniqueness, math binding, function-definition
-sanity and unit-reference resolution.
+sanity, unit-reference resolution and degenerate (zero-multiplier)
+units.
 """
 
 from __future__ import annotations
@@ -216,6 +217,19 @@ def _check_species(model: Model) -> List[ValidationIssue]:
 
 def _check_parameters_and_units(model: Model) -> List[ValidationIssue]:
     issues = []
+    for ud in model.unit_definitions:
+        for unit in ud.units:
+            if unit.multiplier == 0.0:
+                # A zero factor denotes no quantity: no value converts
+                # into it, and under a negative exponent it has no
+                # canonical form at all.
+                issues.append(
+                    _issue(
+                        "zero-multiplier",
+                        f"unitDefinition {ud.id!r} has a {unit.kind!r} "
+                        f"unit with multiplier 0",
+                    )
+                )
     for parameter in model.parameters:
         if parameter.units is not None and not _unit_ref_known(
             model, parameter.units

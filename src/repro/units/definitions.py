@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.errors import IncompatibleUnitsError
+from repro.errors import IncompatibleUnitsError, UnitError
 from repro.units.kinds import DIMENSION_NAMES, kind_decomposition, normalize_kind
 
 __all__ = ["Unit", "UnitDefinition", "CanonicalUnit"]
@@ -63,12 +63,18 @@ class CanonicalUnit:
 
         Raises :class:`IncompatibleUnitsError` when dimensions differ
         (e.g. moles vs. molecules — conversion then needs context like
-        the Figure 6 reaction-order rules, not a plain factor).
+        the Figure 6 reaction-order rules, not a plain factor), and
+        :class:`UnitError` when ``other`` has a zero factor (no value
+        can be expressed in it).
         """
         if not self.same_dimensions(other):
             raise IncompatibleUnitsError(
                 f"cannot convert between {self.describe()} and "
                 f"{other.describe()}"
+            )
+        if other.factor == 0.0:
+            raise UnitError(
+                f"cannot convert into {other.describe()}: its factor is zero"
             )
         return self.factor / other.factor
 
@@ -111,11 +117,20 @@ class Unit:
         object.__setattr__(self, "kind", normalize_kind(self.kind))
 
     def canonical(self) -> CanonicalUnit:
-        """Reduce this factor to canonical form."""
+        """Reduce this factor to canonical form.
+
+        Raises :class:`UnitError` for a zero factor (``multiplier="0"``)
+        under a negative exponent, which has no finite value.
+        """
         base_factor, dims = kind_decomposition(self.kind)
-        factor = (self.multiplier * 10.0**self.scale * base_factor) ** (
-            self.exponent
-        )
+        scaled = self.multiplier * 10.0**self.scale * base_factor
+        if scaled == 0.0 and self.exponent < 0:
+            raise UnitError(
+                f"unit {self.kind!r} with multiplier {self.multiplier:g} "
+                f"and scale {self.scale} has a zero factor, which cannot "
+                f"take the negative exponent {self.exponent}"
+            )
+        factor = scaled**self.exponent
         return CanonicalUnit(
             factor, tuple(d * self.exponent for d in dims)
         )
@@ -130,10 +145,16 @@ class UnitDefinition:
     units: List[Unit] = field(default_factory=list)
 
     def canonical(self) -> CanonicalUnit:
-        """Reduce the whole definition to canonical form."""
+        """Reduce the whole definition to canonical form (raises
+        :class:`UnitError` naming the definition for a degenerate
+        factor)."""
         result = CanonicalUnit.dimensionless()
         for unit in self.units:
-            result = result * unit.canonical()
+            try:
+                canonical = unit.canonical()
+            except UnitError as exc:
+                raise UnitError(f"unitDefinition {self.id!r}: {exc}") from None
+            result = result * canonical
         return result
 
     def same_unit(self, other: "UnitDefinition") -> bool:

@@ -85,6 +85,23 @@ def test_unknown_units_on_parameter():
     assert "unknown-units" in codes(model)
 
 
+def test_zero_multiplier_unit_reported():
+    model = (
+        ModelBuilder("m")
+        .unit("per_mole", [("mole", -1, 0, 0.0)])
+        .unit("nothing", [("second", 1, 0, 0.0)])
+        .unit("per_second", [("second", -1, 0, 1.0)])
+        .build()
+    )
+    zero = [
+        issue for issue in validate_model(model)
+        if issue.code == "zero-multiplier"
+    ]
+    assert [issue.severity for issue in zero] == ["error", "error"]
+    assert "'per_mole'" in zero[0].message
+    assert "'nothing'" in zero[1].message
+
+
 def test_known_builtin_units_accepted():
     model = valid_model()
     model.get_parameter("k1").units = "second"

@@ -237,6 +237,63 @@ def test_merge_single_model_rejected(model_files, capsys):
     assert "at least two" in capsys.readouterr().err
 
 
+ZERO_MULTIPLIER = """<?xml version="1.0" encoding="UTF-8"?>
+<sbml xmlns="http://www.sbml.org/sbml/level2/version4" level="2" version="4">
+  <model id="zero">
+    <listOfUnitDefinitions>
+      <unitDefinition id="per_mole">
+        <listOfUnits>
+          <unit kind="mole" multiplier="0" exponent="-1"/>
+        </listOfUnits>
+      </unitDefinition>
+    </listOfUnitDefinitions>
+    <listOfCompartments>
+      <compartment id="cell" size="1.0"/>
+    </listOfCompartments>
+    <listOfParameters>
+      <parameter id="k" value="1.0" units="per_mole"/>
+    </listOfParameters>
+  </model>
+</sbml>
+"""
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_merge_zero_multiplier_unit_is_one_error_line(
+    model_files, tmp_path, capsys, zero_first
+):
+    path_a, _ = model_files
+    zero = tmp_path / "zero.xml"
+    zero.write_text(ZERO_MULTIPLIER)
+    paths = [str(zero), str(path_a)] if zero_first else [str(path_a), str(zero)]
+    assert main(["merge", *paths, "-o", str(tmp_path / "out.xml")]) == 2
+    err = capsys.readouterr().err
+    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error_lines) == 1
+    assert "'per_mole'" in error_lines[0]
+    assert "multiplier 0" in error_lines[0]
+    assert "Traceback" not in err
+
+
+def test_merge_zero_multiplier_unit_raises_unit_error(model_files, tmp_path):
+    from repro import compose_all, read_sbml_file
+    from repro.errors import UnitError
+
+    path_a, _ = model_files
+    zero = tmp_path / "zero.xml"
+    zero.write_text(ZERO_MULTIPLIER)
+    models = [read_sbml_file(path_a).model, read_sbml_file(zero).model]
+    with pytest.raises(UnitError, match="per_mole"):
+        compose_all(models)
+
+
+def test_validate_reports_zero_multiplier_unit(tmp_path, capsys):
+    zero = tmp_path / "zero.xml"
+    zero.write_text(ZERO_MULTIPLIER)
+    assert main(["validate", str(zero)]) == 1
+    assert "zero-multiplier" in capsys.readouterr().out
+
+
 def test_diff_different(model_files, capsys):
     path_a, path_b = model_files
     assert main(["diff", str(path_a), str(path_b)]) == 1

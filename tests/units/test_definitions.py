@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IncompatibleUnitsError
+from repro.errors import IncompatibleUnitsError, UnitError
 from repro.units import CanonicalUnit, Unit, UnitDefinition
 
 
@@ -136,3 +136,26 @@ def test_copy_is_independent():
     duplicate = original.copy()
     duplicate.units.append(Unit("second"))
     assert len(original.units) == 1
+
+
+def test_zero_factor_under_negative_exponent_is_a_unit_error():
+    with pytest.raises(UnitError, match="multiplier 0"):
+        Unit("mole", exponent=-1, multiplier=0.0).canonical()
+    # Underflow to a zero factor is the same degenerate unit.
+    with pytest.raises(UnitError):
+        Unit("mole", exponent=-1, scale=-400).canonical()
+    with pytest.raises(UnitError, match="'per_mole'"):
+        make("per_mole", Unit("mole", exponent=-1, multiplier=0.0)).canonical()
+
+
+def test_zero_factor_under_positive_exponent_is_canonical():
+    assert Unit("second", multiplier=0.0).canonical().factor == 0.0
+
+
+def test_conversion_into_a_zero_factor_is_a_unit_error():
+    nothing = make("nothing", Unit("second", multiplier=0.0))
+    second = make("s", Unit("second"))
+    with pytest.raises(UnitError, match="factor is zero"):
+        second.conversion_factor(nothing)
+    # Out of a zero unit is a well-defined (zero) factor.
+    assert nothing.conversion_factor(second) == 0.0
