@@ -33,7 +33,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
@@ -49,7 +49,7 @@ from typing import (
 from repro._gc import gc_paused
 from repro.core import chaos
 from repro.core.compose import ModelIndexSet, _collect_initial_values
-from repro.core.pattern_cache import PatternCache, model_pattern_table
+from repro.core.pattern_cache import PatternCache
 from repro.sbml.model import Model
 from repro.sbml.writer import write_sbml
 from repro.units.registry import UnitRegistry
@@ -66,8 +66,11 @@ __all__ = [
 
 #: Bump when the pickled artifact layout changes *incompatibly*;
 #: unreadable entries then read as misses and are recomputed instead
-#: of mis-deserialised.  Format 2 added the per-model canonical
-#: pattern table.  Format 3 added the per-model phase-index rows
+#: of mis-deserialised.  Format 2 added a per-model canonical
+#: pattern table, which is no longer written: patterns are derived on
+#: demand (:class:`~repro.core.pattern_cache.PatternCache`), and an
+#: entry that still carries a table is an ordinary hit with the table
+#: dropped on read.  Format 3 added the per-model phase-index rows
 #: (:class:`~repro.core.compose.ModelIndexSet`) — a pure addition, so
 #: format-2 entries still rehydrate (their missing index table is
 #: computed lazily by consumers) instead of being treated as corrupt.
@@ -138,19 +141,14 @@ class ModelArtifacts:
     What :class:`~repro.core.compose.AccumState` carries for an
     accumulator, precomputed for an *input* — the used-id set, the
     unit registry and the evaluated initial-value environment — plus
-    the model's canonical **pattern table**
-    (:func:`~repro.core.pattern_cache.model_pattern_table`): the
-    Figure 7 pattern of every expression the model carries, keyed by
-    structural digest, used to seed each composition's
-    :class:`~repro.core.pattern_cache.PatternCache` so pattern work
-    happens once per model instead of once per pair.
+    the phase-index rows, structural signature, id sets and canonical
+    SBML text described field by field below.  Figure 7 patterns are
+    not stored: compositions derive the few they probe on demand.
     """
 
     used_ids: Set[str]
     registry: UnitRegistry
     initial: Dict[str, float]
-    #: expression digest -> canonical pattern (empty restriction).
-    patterns: Dict[str, str] = field(default_factory=dict)
     #: Per-model phase-index rows (store format 3), or ``None`` for
     #: entries rehydrated from a format-2 store — consumers compute
     #: the set lazily then.  Tagged with the key-affecting options it
@@ -179,7 +177,6 @@ class ModelArtifacts:
 @gc_paused
 def compute_artifacts(
     model: Model,
-    with_patterns: bool = True,
     with_indexes: bool = True,
     with_signature: bool = True,
     with_sbml: bool = True,
@@ -187,15 +184,11 @@ def compute_artifacts(
     """Derive a model's artifacts from scratch (the store's miss path,
     and the single source of truth for what gets spilled).
 
-    ``with_patterns=False`` skips the canonical pattern table — for
-    callers whose options can never consult patterns (light/structural
-    semantics) and who are not spilling to a shared store (a stored
-    entry should stay complete, since other runs with other semantics
-    rehydrate it).  ``with_indexes=False`` likewise skips the
-    phase-index rows, which are computed under the paper-default heavy
-    options (the fingerprint travels with them; a consumer running
-    other semantics rebuilds in memory), and implies skipping the
-    signature, which is derived from those rows.
+    ``with_indexes=False`` skips the phase-index rows, which are
+    computed under the paper-default heavy options (the fingerprint
+    travels with them; a consumer running other semantics rebuilds in
+    memory), and implies skipping the signature, which is derived
+    from those rows.
     ``with_sbml=False`` skips the canonical SBML blob — for callers
     who already serialised the model (a manifest build pays
     :func:`write_sbml` once for the digest and attaches that same
@@ -205,16 +198,12 @@ def compute_artifacts(
     used_ids = set(model.global_ids()) | {
         ud.id for ud in model.unit_definitions if ud.id
     }
-    patterns = model_pattern_table(model) if with_patterns else {}
     indexes = None
     signature = None
     if with_indexes:
-        # Route the index build's math keys through a cache seeded
-        # with the pattern table just computed, so each expression's
-        # pattern is derived exactly once per model.
+        # One cache for the index build and the signature, so each
+        # expression they key by pattern is derived once.
         cache = PatternCache()
-        if patterns:
-            cache.seed(patterns)
         indexes = ModelIndexSet.build(
             model, _artifact_options(), pattern_cache=cache
         )
@@ -232,7 +221,6 @@ def compute_artifacts(
         used_ids=used_ids,
         registry=model.unit_registry(),
         initial=_collect_initial_values(model),
-        patterns=patterns,
         indexes=indexes,
         signature=signature,
         id_sets=model.id_set_table(),
@@ -265,8 +253,8 @@ class CorpusManifest:
     the pre-format-5 worker boundary shipped through ``initargs``.
     Workers resolve each digest against a shared :class:`ArtifactStore`
     on first touch: the format-5 entry carries the model's canonical
-    SBML text (parse once per worker) *and* the pattern table, index
-    rows, signature and id sets derived from it, so a rehydrated model
+    SBML text (parse once per worker) *and* the index rows, signature
+    and id sets derived from it, so a rehydrated model
     is seeded exactly like an in-memory one.
 
     Build with :meth:`build`, which also guarantees the store side of
@@ -315,7 +303,7 @@ class CorpusManifest:
 
         ``with_artifacts=False`` writes *light* entries on a miss —
         the SBML blob plus only the cheap option-independent fields,
-        skipping the pattern table, index rows and signature.  That is
+        skipping the index rows and signature.  That is
         the parallel-build shape: the expensive derivations are
         exactly what the pool workers exist to fan out, so the parent
         must not pay them serially here.  Pre-existing full entries
@@ -335,10 +323,7 @@ class CorpusManifest:
                     artifacts = compute_artifacts(model, with_sbml=False)
                 else:
                     artifacts = compute_artifacts(
-                        model,
-                        with_patterns=False,
-                        with_indexes=False,
-                        with_sbml=False,
+                        model, with_indexes=False, with_sbml=False
                     )
                 artifacts.sbml = text
                 store.put(digest, artifacts)
@@ -466,6 +451,9 @@ class ArtifactStore:
         for lazy_field in ("indexes", "signature", "id_sets", "sbml"):
             if getattr(artifacts, lazy_field, None) is None:
                 setattr(artifacts, lazy_field, None)
+        # Entries written before patterns were derived on demand carry
+        # a pattern table nothing reads any more.
+        artifacts.__dict__.pop("patterns", None)
         return fmt, artifacts
 
     def get(self, digest: str) -> Optional[ModelArtifacts]:

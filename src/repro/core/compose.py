@@ -2032,8 +2032,8 @@ class ModelIndexSet:
         """Compute a model's index rows under the empty mapping.
 
         ``pattern_cache`` lets the caller route the math-key work of
-        the build through a shared (possibly pre-seeded) cache so
-        pattern computation stays once-per-expression.
+        the build through a shared cache so pattern computation stays
+        once-per-expression.
         """
         options = options or ComposeOptions()
         keyer = _index_keyer(model, options, pattern_cache)

@@ -88,7 +88,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import chaos, transport
 from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -618,6 +618,16 @@ class _ShardState:
             if pair not in self.outcomes and pair not in quarantined
         ]
 
+    def has_remaining(self, quarantined: Container[Pair]) -> bool:
+        """Whether any pair is neither streamed back nor quarantined —
+        :meth:`remaining` without building the list; stops at the
+        first such pair."""
+        outcomes = self.outcomes
+        return any(
+            pair not in outcomes and pair not in quarantined
+            for pair in self.shard.pairs
+        )
+
 
 class SweepCoordinator:
     """Drive a sharded sweep to completion through worker failures.
@@ -924,10 +934,13 @@ class SweepCoordinator:
     def _finalize_empty(self, now: float) -> None:
         """Shards with nothing left to compute (empty, or everything
         already streamed back / quarantined) complete without a
-        worker."""
-        quarantined = self.quarantine.pairs()
+        worker.  Runs on every event-loop wakeup, so it only asks
+        whether a pair is left."""
+        quarantined = self.quarantine.entries
         for state in self._unfinished():
-            if state.status == "pending" and not state.remaining(quarantined):
+            if state.status == "pending" and not state.has_remaining(
+                quarantined
+            ):
                 self._finalize_shard(state, now)
 
     def _check_timeouts(self, now: float) -> None:

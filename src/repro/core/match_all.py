@@ -313,7 +313,7 @@ class _PairEngine:
     **digest-shipped**: it holds no corpus at all.  Each model is
     rehydrated from the store on first touch — the format-5 entry's
     canonical SBML text is parsed once per worker, and the same entry
-    seeds the pattern table and phase-index rows, so a rehydrated
+    supplies the phase-index rows, so a rehydrated
     model composes exactly like an in-memory one.  A manifest digest
     the store cannot resolve (evicted mid-sweep, or a pre-format-5
     entry without the blob) raises :class:`~repro.errors.ReproError`.
@@ -368,11 +368,9 @@ class _PairEngine:
         # One composer — and one pattern cache — for the whole sweep.
         # The cache is always on here (unlike one-shot merges, where
         # ``options.memoize_patterns`` defaults off because small-law
-        # bookkeeping can cost more than it saves): it is *seeded*
-        # from each model's precomputed pattern table the first time
-        # the model's artifacts load, so the empty-restriction case —
-        # the overwhelming majority — never computes a pattern during
-        # a pair merge at all.
+        # bookkeeping can cost more than it saves): a pattern is
+        # derived the first time any pair probes its expression and
+        # served from the cache to every later pair.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
@@ -466,15 +464,10 @@ class _PairEngine:
             return hit
         # Digest-shipped mode reads the manifest entry — the
         # same store read that rehydrated (or will rehydrate)
-        # the model itself.  Without a store, the pattern
-        # table is only worth computing when this sweep's
-        # options will consult patterns; store-backed
-        # artifacts stay complete regardless, because other
-        # runs (with other semantics) rehydrate the same
-        # entry.  The index rows are likewise only taken from
+        # the model itself.  The index rows are only taken from
         # compute_artifacts when spilling to a store — a
         # locally built set routes its math keys through the
-        # sweep's own seeded cache.
+        # sweep's own pattern cache.
         if self.manifest is not None:
             artifacts = self._manifest_entry(index)
         elif self.store is not None:
@@ -483,13 +476,8 @@ class _PairEngine:
             )
         else:
             artifacts = compute_artifacts(
-                self._model(index),
-                with_patterns=self.options.use_math_patterns,
-                with_indexes=False,
-                with_sbml=False,
+                self._model(index), with_indexes=False, with_sbml=False
             )
-        if artifacts.patterns:
-            self.pattern_cache.seed(artifacts.patterns)
         if self.prebuilt_indexes:
             self._index_rows[index] = artifacts.indexes
         hit = (
@@ -906,8 +894,8 @@ def match_all_sharded(
 
     ``store`` points the engine at an on-disk artifact store shared by
     all shards: the first shard to touch a model spills its derived
-    artifacts (used-id set, unit registry, evaluated initial values,
-    pattern table and phase-index rows) and every later shard — or a
+    artifacts (used-id set, unit registry, evaluated initial values
+    and phase-index rows) and every later shard — or a
     resumed sweep — rehydrates them instead of recomputing.
     ``prebuilt_indexes`` and ``prescreen`` are honoured exactly as in
     :func:`match_all` — the prescreen's synthesis is deterministic and

@@ -390,13 +390,6 @@ class ComposeSession:
                     # (and this session after a spill) reuse the work.
                     digest = model_digest(model)
                     artifacts = self._store.get_or_compute(model, digest)
-                    cache = self._composer._cache
-                    if cache is not None and artifacts.patterns:
-                        # The rehydrated pattern table seeds this
-                        # session's cache: patterns computed by any
-                        # other sweep/session over the same model are
-                        # never rebuilt here.
-                        cache.seed(artifacts.patterns)
                     self._digests[key] = digest
                     self._initials[key] = artifacts.initial
                     index_set = artifacts.indexes
@@ -452,9 +445,13 @@ class ComposeSession:
             for component_id in model.global_ids()
         }
 
+    @gc_paused
     def _leaf_value(
         self, models: Sequence[Model], labels: Sequence[str], position: int
     ) -> _NodeValue:
+        # Paused like a merge: a leaf's provenance is one entry per
+        # global id of one model, and left on, the collector runs
+        # full collections over the session's growing heap here.
         model = models[position]
         return _NodeValue(
             model=model,

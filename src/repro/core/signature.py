@@ -267,8 +267,7 @@ class ModelSignature:
     """Cheap structural summary of one model, under one option set.
 
     Stored in the :class:`~repro.core.artifact_store.ArtifactStore`
-    (format 4) next to the pattern table and index rows it is derived
-    from; like those, it is tagged with the key-affecting options
+    (format 4) next to the index rows it is derived from; like those, it is tagged with the key-affecting options
     fingerprint (:func:`~repro.core.compose.index_options_key`) and
     consumers must check :meth:`matches` before trusting it.
     """

@@ -4,23 +4,38 @@ Serialises the object model back to SBML Level 2 Version 4.  Output is
 deterministic (attribute and component order is fixed) so that the
 structural diff in :mod:`repro.eval.sbml_diff` and the paper-style
 textual comparison (§4.1.1) are stable across runs.
+
+The text is also the model's content address: :func:`~repro.core.artifact_store.model_digest`
+hashes it, so every store entry, index posting and recorded benchmark
+reference depends on these exact bytes.  The writer emits them
+directly, with no intermediate element tree, in the layout of
+ElementTree's ``tostring`` after ``indent`` with two spaces:
+
+* one element per line, children two spaces deeper than their parent;
+* attributes in a fixed order, empty elements as ``<tag />``;
+* namespace declarations on the root, sorted by prefix — ``html`` for
+  XHTML notes, ``rdf`` for RDF, and ``ns<N>`` for the biology
+  qualifiers, where ``N`` counts the namespaces met before them in
+  document order;
+* escaping as in :mod:`repro.mathml.writer`.
+
+The XML declaration always names ``utf-8``, the encoding
+:func:`write_sbml_file` writes.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import Callable, Dict, List, Sequence
 
 from repro._gc import gc_paused
-from repro.mathml.ast import MathNode
-from repro.mathml.writer import math_to_element
+from repro.mathml.writer import escape_attribute, escape_text, write_math
 from repro.sbml.components import (
     AlgebraicRule,
     AssignmentRule,
     Compartment,
-    CompartmentType,
     Constraint,
     Event,
+    EventAssignment,
     FunctionDefinition,
     InitialAssignment,
     Parameter,
@@ -29,7 +44,6 @@ from repro.sbml.components import (
     SBase,
     Species,
     SpeciesReference,
-    SpeciesType,
 )
 from repro.sbml.model import Document, Model
 from repro.sbml.reader import SBML_L2V4_NS
@@ -39,327 +53,399 @@ __all__ = ["write_sbml", "write_sbml_file"]
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _BQBIOL_NS = "http://biomodels.net/biology-qualifiers/"
+_XHTML_NS = "http://www.w3.org/1999/xhtml"
+
+#: Prefixes with a fixed name; any other namespace is ``ns<N>``.
+_KNOWN_PREFIXES = {_XHTML_NS: "html", _RDF_NS: "rdf"}
+
+_XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>\n"
+_STEP = "  "
 
 
 @gc_paused
-def write_sbml(document_or_model, indent: Optional[str] = "  ") -> str:
+def write_sbml(document_or_model) -> str:
     """Serialise a :class:`Document` (or bare :class:`Model`) to XML."""
     if isinstance(document_or_model, Model):
         document = Document(model=document_or_model)
     else:
         document = document_or_model
-    root = ET.Element(
-        "sbml",
-        {
-            "xmlns": SBML_L2V4_NS,
-            "level": str(document.level),
-            "version": str(document.version),
-        },
+    writer = _Writer()
+    writer.model(document.model, "\n" + _STEP)
+    declarations = "".join(
+        f' xmlns:{prefix}="{escape_attribute(uri)}"'
+        for prefix, uri in sorted(
+            (prefix, uri) for uri, prefix in writer.prefixes.items()
+        )
     )
-    root.append(_model_element(document.model))
-    if indent is not None:
-        ET.indent(root, space=indent)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True)
+    return (
+        f"{_XML_DECLARATION}<sbml{declarations}"
+        f' xmlns="{SBML_L2V4_NS}"'
+        f' level="{escape_attribute(str(document.level))}"'
+        f' version="{escape_attribute(str(document.version))}">'
+        + "".join(writer.out)
+        + "\n</sbml>"
+    )
 
 
-def write_sbml_file(document_or_model, path, indent: Optional[str] = "  ") -> None:
+def write_sbml_file(document_or_model, path) -> None:
     """Serialise to a file."""
-    text = write_sbml(document_or_model, indent)
+    text = write_sbml(document_or_model)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _set_sbase(element: ET.Element, component: SBase) -> None:
+def _attr(name: str, value) -> str:
+    return f' {name}="{escape_attribute(value)}"'
+
+
+def _sbase_attrs(component: SBase) -> str:
+    text = ""
     if component.id is not None:
-        element.set("id", component.id)
+        text += _attr("id", component.id)
     if component.name is not None:
-        element.set("name", component.name)
+        text += _attr("name", component.name)
     if component.metaid is not None:
-        element.set("metaid", component.metaid)
+        text += _attr("metaid", component.metaid)
     if component.sbo_term is not None:
-        element.set("sboTerm", component.sbo_term)
-    if component.notes:
-        notes = ET.SubElement(element, "notes")
-        paragraph = ET.SubElement(
-            notes, "{http://www.w3.org/1999/xhtml}p"
+        text += _attr("sboTerm", component.sbo_term)
+    return text
+
+
+class _Writer:
+    """Accumulates one document's text in ``out``.
+
+    Every ``pad`` argument is the newline and indentation written
+    before the element it belongs to (and before its closing tag).
+    """
+
+    __slots__ = ("out", "prefixes")
+
+    def __init__(self):
+        self.out: List[str] = []
+        #: namespace URI -> prefix, in order of first use.
+        self.prefixes: Dict[str, str] = {}
+
+    def qname(self, uri: str, local: str) -> str:
+        prefix = self.prefixes.get(uri)
+        if prefix is None:
+            prefix = _KNOWN_PREFIXES.get(uri) or f"ns{len(self.prefixes)}"
+            self.prefixes[uri] = prefix
+        return f"{prefix}:{local}"
+
+    def open(self, pad: str, start: str) -> int:
+        """Write ``pad<start``; the tag is finished by :meth:`close`."""
+        out = self.out
+        out.append(f"{pad}<{start}")
+        out.append("")
+        return len(out)
+
+    def close(self, mark: int, pad: str, tag: str) -> None:
+        out = self.out
+        if len(out) == mark:
+            out[mark - 1] = " />"
+        else:
+            out[mark - 1] = ">"
+            out.append(f"{pad}</{tag}>")
+
+    def element(self, pad: str, tag: str, start: str, component: SBase) -> None:
+        """An element whose only children are ``component``'s notes
+        and annotation; ``start`` is the tag with its attributes."""
+        if not component.notes and not component.annotations:
+            self.out.append(f"{pad}<{start} />")
+            return
+        self.out.append(f"{pad}<{start}>")
+        self.sbase_children(component, pad + _STEP)
+        self.out.append(f"{pad}</{tag}>")
+
+    def math(self, math, pad: str) -> None:
+        if math is not None:
+            self.out.append(pad)
+            write_math(math, self.out, pad, _STEP)
+
+    def paragraph(self, tag: str, text: str, pad: str) -> None:
+        """``<tag>`` holding one XHTML paragraph: notes and messages."""
+        p = self.qname(_XHTML_NS, "p")
+        self.out.append(
+            f"{pad}<{tag}>{pad}{_STEP}<{p}>{escape_text(text)}</{p}>{pad}</{tag}>"
         )
-        paragraph.text = component.notes
-    if component.annotations:
-        element.append(_annotation_element(component))
 
+    def sbase_children(self, component: SBase, pad: str) -> None:
+        if component.notes:
+            self.paragraph("notes", component.notes, pad)
+        if component.annotations:
+            self.annotation(component, pad)
 
-def _annotation_element(component: SBase) -> ET.Element:
-    annotation = ET.Element("annotation")
-    rdf = ET.SubElement(annotation, f"{{{_RDF_NS}}}RDF")
-    description = ET.SubElement(rdf, f"{{{_RDF_NS}}}Description")
-    about = component.metaid or component.id or ""
-    description.set(f"{{{_RDF_NS}}}about", f"#{about}")
-    for qualifier in sorted(component.annotations):
-        uris = component.annotations[qualifier]
-        qualifier_element = ET.SubElement(
-            description, f"{{{_BQBIOL_NS}}}{qualifier}"
+    def annotation(self, component: SBase, pad: str) -> None:
+        out = self.out
+        rdf_pad = pad + _STEP
+        description_pad = rdf_pad + _STEP
+        qualifier_pad = description_pad + _STEP
+        bag_pad = qualifier_pad + _STEP
+        li_pad = bag_pad + _STEP
+        rdf = self.qname(_RDF_NS, "RDF")
+        description = self.qname(_RDF_NS, "Description")
+        about = self.qname(_RDF_NS, "about")
+        target = component.metaid or component.id or ""
+        out.append(
+            f"{pad}<annotation>{rdf_pad}<{rdf}>"
+            f"{description_pad}<{description}{_attr(about, '#' + target)}>"
         )
-        bag = ET.SubElement(qualifier_element, f"{{{_RDF_NS}}}Bag")
-        for uri in uris:
-            li = ET.SubElement(bag, f"{{{_RDF_NS}}}li")
-            li.set(f"{{{_RDF_NS}}}resource", uri)
-    return annotation
+        for qualifier in sorted(component.annotations):
+            tag = self.qname(_BQBIOL_NS, qualifier)
+            bag = self.qname(_RDF_NS, "Bag")
+            uris = component.annotations[qualifier]
+            out.append(f"{qualifier_pad}<{tag}>")
+            if uris:
+                li = self.qname(_RDF_NS, "li")
+                resource = self.qname(_RDF_NS, "resource")
+                out.append(f"{bag_pad}<{bag}>")
+                for uri in uris:
+                    out.append(f"{li_pad}<{li}{_attr(resource, uri)} />")
+                out.append(f"{bag_pad}</{bag}>")
+            else:
+                out.append(f"{bag_pad}<{bag} />")
+            out.append(f"{qualifier_pad}</{tag}>")
+        out.append(
+            f"{description_pad}</{description}>{rdf_pad}</{rdf}>{pad}</annotation>"
+        )
 
+    def listing(
+        self, pad: str, tag: str, items: Sequence, write: Callable
+    ) -> None:
+        if not items:
+            return
+        item_pad = pad + _STEP
+        self.out.append(f"{pad}<{tag}>")
+        for item in items:
+            write(item, item_pad)
+        self.out.append(f"{pad}</{tag}>")
 
-def _append_math(element: ET.Element, math: Optional[MathNode]) -> None:
-    if math is not None:
-        element.append(math_to_element(math))
+    def sbase_only(self, tag: str) -> Callable:
+        def write(component: SBase, pad: str) -> None:
+            self.element(pad, tag, tag + _sbase_attrs(component), component)
 
+        return write
 
-def _list_element(parent: ET.Element, name: str, items) -> Optional[ET.Element]:
-    if not items:
-        return None
-    return ET.SubElement(parent, name)
+    # -- the model -----------------------------------------------------------
 
+    def model(self, model: Model, pad: str) -> None:
+        inner = pad + _STEP
+        mark = self.open(pad, "model" + _sbase_attrs(model))
+        self.sbase_children(model, inner)
+        for tag, items, write in (
+            (
+                "listOfFunctionDefinitions",
+                model.function_definitions,
+                self.function_definition,
+            ),
+            ("listOfUnitDefinitions", model.unit_definitions, self.unit_definition),
+            (
+                "listOfCompartmentTypes",
+                model.compartment_types,
+                self.sbase_only("compartmentType"),
+            ),
+            (
+                "listOfSpeciesTypes",
+                model.species_types,
+                self.sbase_only("speciesType"),
+            ),
+            ("listOfCompartments", model.compartments, self.compartment),
+            ("listOfSpecies", model.species, self.species),
+            ("listOfParameters", model.parameters, self.parameter),
+            (
+                "listOfInitialAssignments",
+                model.initial_assignments,
+                self.initial_assignment,
+            ),
+            ("listOfRules", model.rules, self.rule),
+            ("listOfConstraints", model.constraints, self.constraint),
+            ("listOfReactions", model.reactions, self.reaction),
+            ("listOfEvents", model.events, self.event),
+        ):
+            self.listing(inner, tag, items, write)
+        self.close(mark, pad, "model")
 
-def _model_element(model: Model) -> ET.Element:
-    element = ET.Element("model")
-    _set_sbase(element, model)
+    def function_definition(self, fd: FunctionDefinition, pad: str) -> None:
+        inner = pad + _STEP
+        mark = self.open(pad, "functionDefinition" + _sbase_attrs(fd))
+        self.sbase_children(fd, inner)
+        self.math(fd.math, inner)
+        self.close(mark, pad, "functionDefinition")
 
-    container = _list_element(
-        element, "listOfFunctionDefinitions", model.function_definitions
-    )
-    if container is not None:
-        for fd in model.function_definitions:
-            container.append(_function_definition_element(fd))
-
-    container = _list_element(
-        element, "listOfUnitDefinitions", model.unit_definitions
-    )
-    if container is not None:
-        for ud in model.unit_definitions:
-            container.append(_unit_definition_element(ud))
-
-    container = _list_element(
-        element, "listOfCompartmentTypes", model.compartment_types
-    )
-    if container is not None:
-        for ct in model.compartment_types:
-            item = ET.SubElement(container, "compartmentType")
-            _set_sbase(item, ct)
-
-    container = _list_element(element, "listOfSpeciesTypes", model.species_types)
-    if container is not None:
-        for st in model.species_types:
-            item = ET.SubElement(container, "speciesType")
-            _set_sbase(item, st)
-
-    container = _list_element(element, "listOfCompartments", model.compartments)
-    if container is not None:
-        for compartment in model.compartments:
-            container.append(_compartment_element(compartment))
-
-    container = _list_element(element, "listOfSpecies", model.species)
-    if container is not None:
-        for species in model.species:
-            container.append(_species_element(species))
-
-    container = _list_element(element, "listOfParameters", model.parameters)
-    if container is not None:
-        for parameter in model.parameters:
-            container.append(_parameter_element(parameter))
-
-    container = _list_element(
-        element, "listOfInitialAssignments", model.initial_assignments
-    )
-    if container is not None:
-        for ia in model.initial_assignments:
-            item = ET.SubElement(container, "initialAssignment")
-            _set_sbase(item, ia)
-            item.set("symbol", ia.symbol or "")
-            _append_math(item, ia.math)
-
-    container = _list_element(element, "listOfRules", model.rules)
-    if container is not None:
-        for rule in model.rules:
-            container.append(_rule_element(rule))
-
-    container = _list_element(element, "listOfConstraints", model.constraints)
-    if container is not None:
-        for constraint in model.constraints:
-            item = ET.SubElement(container, "constraint")
-            _set_sbase(item, constraint)
-            _append_math(item, constraint.math)
-            if constraint.message:
-                message = ET.SubElement(item, "message")
-                paragraph = ET.SubElement(
-                    message, "{http://www.w3.org/1999/xhtml}p"
-                )
-                paragraph.text = constraint.message
-
-    container = _list_element(element, "listOfReactions", model.reactions)
-    if container is not None:
-        for reaction in model.reactions:
-            container.append(_reaction_element(reaction))
-
-    container = _list_element(element, "listOfEvents", model.events)
-    if container is not None:
-        for event in model.events:
-            container.append(_event_element(event))
-
-    return element
-
-
-def _function_definition_element(fd: FunctionDefinition) -> ET.Element:
-    element = ET.Element("functionDefinition")
-    _set_sbase(element, fd)
-    _append_math(element, fd.math)
-    return element
-
-
-def _unit_definition_element(ud: UnitDefinition) -> ET.Element:
-    element = ET.Element("unitDefinition")
-    if ud.id is not None:
-        element.set("id", ud.id)
-    if ud.name is not None:
-        element.set("name", ud.name)
-    if ud.units:
-        container = ET.SubElement(element, "listOfUnits")
+    def unit_definition(self, ud: UnitDefinition, pad: str) -> None:
+        start = "unitDefinition"
+        if ud.id is not None:
+            start += _attr("id", ud.id)
+        if ud.name is not None:
+            start += _attr("name", ud.name)
+        if not ud.units:
+            self.out.append(f"{pad}<{start} />")
+            return
+        inner = pad + _STEP
+        unit_pad = inner + _STEP
+        out = self.out
+        out.append(f"{pad}<{start}>{inner}<listOfUnits>")
         for unit in ud.units:
-            item = ET.SubElement(container, "unit", {"kind": unit.kind})
+            text = "unit" + _attr("kind", unit.kind)
             if unit.exponent != 1:
-                item.set("exponent", str(unit.exponent))
+                text += _attr("exponent", str(unit.exponent))
             if unit.scale != 0:
-                item.set("scale", str(unit.scale))
+                text += _attr("scale", str(unit.scale))
             if unit.multiplier != 1.0:
-                item.set("multiplier", repr(unit.multiplier))
-    return element
+                text += _attr("multiplier", repr(unit.multiplier))
+            out.append(f"{unit_pad}<{text} />")
+        out.append(f"{inner}</listOfUnits>{pad}</unitDefinition>")
 
-
-def _compartment_element(compartment: Compartment) -> ET.Element:
-    element = ET.Element("compartment")
-    _set_sbase(element, compartment)
-    if compartment.size is not None:
-        element.set("size", repr(compartment.size))
-    if compartment.units is not None:
-        element.set("units", compartment.units)
-    if compartment.spatial_dimensions != 3:
-        element.set("spatialDimensions", str(compartment.spatial_dimensions))
-    if compartment.compartment_type is not None:
-        element.set("compartmentType", compartment.compartment_type)
-    if compartment.outside is not None:
-        element.set("outside", compartment.outside)
-    if not compartment.constant:
-        element.set("constant", "false")
-    return element
-
-
-def _species_element(species: Species) -> ET.Element:
-    element = ET.Element("species")
-    _set_sbase(element, species)
-    if species.compartment is not None:
-        element.set("compartment", species.compartment)
-    if species.initial_amount is not None:
-        element.set("initialAmount", repr(species.initial_amount))
-    if species.initial_concentration is not None:
-        element.set("initialConcentration", repr(species.initial_concentration))
-    if species.substance_units is not None:
-        element.set("substanceUnits", species.substance_units)
-    if species.has_only_substance_units:
-        element.set("hasOnlySubstanceUnits", "true")
-    if species.boundary_condition:
-        element.set("boundaryCondition", "true")
-    if species.constant:
-        element.set("constant", "true")
-    if species.species_type is not None:
-        element.set("speciesType", species.species_type)
-    if species.charge is not None:
-        element.set("charge", str(species.charge))
-    return element
-
-
-def _parameter_element(parameter: Parameter) -> ET.Element:
-    element = ET.Element("parameter")
-    _set_sbase(element, parameter)
-    if parameter.value is not None:
-        element.set("value", repr(parameter.value))
-    if parameter.units is not None:
-        element.set("units", parameter.units)
-    if not parameter.constant:
-        element.set("constant", "false")
-    return element
-
-
-def _rule_element(rule) -> ET.Element:
-    if isinstance(rule, AssignmentRule):
-        element = ET.Element("assignmentRule")
-        element.set("variable", rule.variable or "")
-    elif isinstance(rule, RateRule):
-        element = ET.Element("rateRule")
-        element.set("variable", rule.variable or "")
-    elif isinstance(rule, AlgebraicRule):
-        element = ET.Element("algebraicRule")
-    else:
-        raise TypeError(f"unknown rule type {type(rule).__name__}")
-    _set_sbase(element, rule)
-    _append_math(element, rule.math)
-    return element
-
-
-def _species_reference_element(name: str, reference: SpeciesReference) -> ET.Element:
-    element = ET.Element(name, {"species": reference.species})
-    if reference.stoichiometry != 1.0:
-        element.set("stoichiometry", repr(reference.stoichiometry))
-    return element
-
-
-def _reaction_element(reaction: Reaction) -> ET.Element:
-    element = ET.Element("reaction")
-    _set_sbase(element, reaction)
-    if not reaction.reversible:
-        element.set("reversible", "false")
-    if reaction.fast:
-        element.set("fast", "true")
-    if reaction.reactants:
-        container = ET.SubElement(element, "listOfReactants")
-        for reference in reaction.reactants:
-            container.append(
-                _species_reference_element("speciesReference", reference)
+    def compartment(self, compartment: Compartment, pad: str) -> None:
+        start = "compartment" + _sbase_attrs(compartment)
+        if compartment.size is not None:
+            start += _attr("size", repr(compartment.size))
+        if compartment.units is not None:
+            start += _attr("units", compartment.units)
+        if compartment.spatial_dimensions != 3:
+            start += _attr(
+                "spatialDimensions", str(compartment.spatial_dimensions)
             )
-    if reaction.products:
-        container = ET.SubElement(element, "listOfProducts")
-        for reference in reaction.products:
-            container.append(
-                _species_reference_element("speciesReference", reference)
-            )
-    if reaction.modifiers:
-        container = ET.SubElement(element, "listOfModifiers")
-        for modifier in reaction.modifiers:
-            ET.SubElement(
-                container,
-                "modifierSpeciesReference",
-                {"species": modifier.species},
-            )
-    if reaction.kinetic_law is not None:
-        law = ET.SubElement(element, "kineticLaw")
-        _set_sbase(law, reaction.kinetic_law)
-        _append_math(law, reaction.kinetic_law.math)
-        if reaction.kinetic_law.parameters:
-            container = ET.SubElement(law, "listOfParameters")
-            for parameter in reaction.kinetic_law.parameters:
-                container.append(_parameter_element(parameter))
-    return element
+        if compartment.compartment_type is not None:
+            start += _attr("compartmentType", compartment.compartment_type)
+        if compartment.outside is not None:
+            start += _attr("outside", compartment.outside)
+        if not compartment.constant:
+            start += ' constant="false"'
+        self.element(pad, "compartment", start, compartment)
 
-
-def _event_element(event: Event) -> ET.Element:
-    element = ET.Element("event")
-    _set_sbase(element, event)
-    if event.trigger is not None:
-        trigger = ET.SubElement(element, "trigger")
-        _append_math(trigger, event.trigger.math)
-    if event.delay is not None:
-        delay = ET.SubElement(element, "delay")
-        _append_math(delay, event.delay.math)
-    if event.assignments:
-        container = ET.SubElement(element, "listOfEventAssignments")
-        for assignment in event.assignments:
-            item = ET.SubElement(
-                container, "eventAssignment", {"variable": assignment.variable}
+    def species(self, species: Species, pad: str) -> None:
+        start = "species" + _sbase_attrs(species)
+        if species.compartment is not None:
+            start += _attr("compartment", species.compartment)
+        if species.initial_amount is not None:
+            start += _attr("initialAmount", repr(species.initial_amount))
+        if species.initial_concentration is not None:
+            start += _attr(
+                "initialConcentration", repr(species.initial_concentration)
             )
-            _append_math(item, assignment.math)
-    return element
+        if species.substance_units is not None:
+            start += _attr("substanceUnits", species.substance_units)
+        if species.has_only_substance_units:
+            start += ' hasOnlySubstanceUnits="true"'
+        if species.boundary_condition:
+            start += ' boundaryCondition="true"'
+        if species.constant:
+            start += ' constant="true"'
+        if species.species_type is not None:
+            start += _attr("speciesType", species.species_type)
+        if species.charge is not None:
+            start += _attr("charge", str(species.charge))
+        self.element(pad, "species", start, species)
+
+    def parameter(self, parameter: Parameter, pad: str) -> None:
+        start = "parameter" + _sbase_attrs(parameter)
+        if parameter.value is not None:
+            start += _attr("value", repr(parameter.value))
+        if parameter.units is not None:
+            start += _attr("units", parameter.units)
+        if not parameter.constant:
+            start += ' constant="false"'
+        self.element(pad, "parameter", start, parameter)
+
+    def initial_assignment(self, ia: InitialAssignment, pad: str) -> None:
+        inner = pad + _STEP
+        start = (
+            "initialAssignment" + _sbase_attrs(ia) + _attr("symbol", ia.symbol or "")
+        )
+        mark = self.open(pad, start)
+        self.sbase_children(ia, inner)
+        self.math(ia.math, inner)
+        self.close(mark, pad, "initialAssignment")
+
+    def rule(self, rule, pad: str) -> None:
+        if isinstance(rule, AssignmentRule):
+            tag = "assignmentRule"
+            start = tag + _attr("variable", rule.variable or "")
+        elif isinstance(rule, RateRule):
+            tag = "rateRule"
+            start = tag + _attr("variable", rule.variable or "")
+        elif isinstance(rule, AlgebraicRule):
+            tag = start = "algebraicRule"
+        else:
+            raise TypeError(f"unknown rule type {type(rule).__name__}")
+        inner = pad + _STEP
+        mark = self.open(pad, start + _sbase_attrs(rule))
+        self.sbase_children(rule, inner)
+        self.math(rule.math, inner)
+        self.close(mark, pad, tag)
+
+    def constraint(self, constraint: Constraint, pad: str) -> None:
+        inner = pad + _STEP
+        mark = self.open(pad, "constraint" + _sbase_attrs(constraint))
+        self.sbase_children(constraint, inner)
+        self.math(constraint.math, inner)
+        if constraint.message:
+            self.paragraph("message", constraint.message, inner)
+        self.close(mark, pad, "constraint")
+
+    def reaction(self, reaction: Reaction, pad: str) -> None:
+        inner = pad + _STEP
+        start = "reaction" + _sbase_attrs(reaction)
+        if not reaction.reversible:
+            start += ' reversible="false"'
+        if reaction.fast:
+            start += ' fast="true"'
+        mark = self.open(pad, start)
+        self.sbase_children(reaction, inner)
+        self.listing(
+            inner, "listOfReactants", reaction.reactants, self.species_reference
+        )
+        self.listing(
+            inner, "listOfProducts", reaction.products, self.species_reference
+        )
+        self.listing(inner, "listOfModifiers", reaction.modifiers, self.modifier)
+        law = reaction.kinetic_law
+        if law is not None:
+            law_inner = inner + _STEP
+            law_mark = self.open(inner, "kineticLaw" + _sbase_attrs(law))
+            self.sbase_children(law, law_inner)
+            self.math(law.math, law_inner)
+            self.listing(
+                law_inner, "listOfParameters", law.parameters, self.parameter
+            )
+            self.close(law_mark, inner, "kineticLaw")
+        self.close(mark, pad, "reaction")
+
+    def species_reference(self, reference: SpeciesReference, pad: str) -> None:
+        text = "speciesReference" + _attr("species", reference.species)
+        if reference.stoichiometry != 1.0:
+            text += _attr("stoichiometry", repr(reference.stoichiometry))
+        self.out.append(f"{pad}<{text} />")
+
+    def modifier(self, modifier, pad: str) -> None:
+        self.out.append(
+            f"{pad}<modifierSpeciesReference{_attr('species', modifier.species)} />"
+        )
+
+    def event(self, event: Event, pad: str) -> None:
+        inner = pad + _STEP
+        mark = self.open(pad, "event" + _sbase_attrs(event))
+        self.sbase_children(event, inner)
+        for tag, part in (("trigger", event.trigger), ("delay", event.delay)):
+            if part is None:
+                continue
+            if part.math is None:
+                self.out.append(f"{inner}<{tag} />")
+            else:
+                self.out.append(f"{inner}<{tag}>")
+                self.math(part.math, inner + _STEP)
+                self.out.append(f"{inner}</{tag}>")
+        self.listing(
+            inner,
+            "listOfEventAssignments",
+            event.assignments,
+            self.event_assignment,
+        )
+        self.close(mark, pad, "event")
+
+    def event_assignment(self, assignment: EventAssignment, pad: str) -> None:
+        start = "eventAssignment" + _attr("variable", assignment.variable)
+        mark = self.open(pad, start)
+        self.math(assignment.math, pad + _STEP)
+        self.close(mark, pad, "eventAssignment")

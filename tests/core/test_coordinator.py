@@ -18,9 +18,10 @@ from repro.core.coordinator import (
     CoordinatorError,
     Quarantine,
     SweepCoordinator,
+    _ShardState,
 )
 from repro.core.match_all import MatchMatrix, match_all, read_outcomes_csv
-from repro.core.shards import SweepCheckpoint, SweepStateError
+from repro.core.shards import SweepCheckpoint, SweepStateError, partition_pairs
 from repro.corpus.curated import (
     drug_inhibition,
     glycolysis_lower,
@@ -251,6 +252,63 @@ class TestPoisonQuarantine:
         assert second.exit_code == EXIT_QUARANTINED
         assert [(e["i"], e["j"]) for e in second.quarantined] == [(1, 2)]
         assert second.matrices == []
+
+
+class TestAllQuarantinedShard:
+    """A pending shard whose pairs are all quarantined has nothing to
+    compute: the event loop finalizes it without a worker."""
+
+    def _first_shard(self, coordinator, corpus):
+        sizes = [model.network_size() for model in corpus]
+        return partition_pairs(
+            sizes, SHARDS, include_self=coordinator.include_self
+        )[0]
+
+    def test_has_remaining_agrees_with_remaining(
+        self, corpus, fingerprint, tmp_path
+    ):
+        coordinator = _coordinator(corpus, fingerprint, tmp_path / "sweep")
+        shard = self._first_shard(coordinator, corpus)
+        state = _ShardState(shard)
+        first, *rest = shard.pairs
+        assert state.has_remaining({})
+        state.outcomes[first] = object()
+        assert state.has_remaining({}) == bool(rest)
+        quarantined = {pair: {} for pair in rest}
+        assert not state.has_remaining(quarantined)
+        assert state.remaining(set(quarantined)) == []
+
+    def test_pending_shard_with_every_pair_quarantined_finalizes(
+        self, corpus, fingerprint, reference_keys, tmp_path
+    ):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        coordinator = _coordinator(corpus, fingerprint, out)
+        shard = self._first_shard(coordinator, corpus)
+        assert shard.pairs
+        quarantine = Quarantine(out)
+        for i, j in shard.pairs:
+            quarantine.add(i, j, left="l", right="r", strikes=2, error="boom")
+        quarantine.save()
+        report = coordinator.run()
+        assert report.exit_code == EXIT_QUARANTINED
+        assert sorted((e["i"], e["j"]) for e in report.quarantined) == sorted(
+            shard.pairs
+        )
+        (matrix,) = [
+            m for m in report.matrices if m.shard_id == shard.shard_id
+        ]
+        assert matrix.outcomes == []
+        assert matrix.quarantined == len(shard.pairs)
+        assert matrix.seconds == 0.0  # never started on a worker
+        expected = {
+            pair: key
+            for pair, key in reference_keys.items()
+            if pair not in shard.pairs
+        }
+        assert _computed_keys(report) == expected
+        checkpoint = SweepCheckpoint.open(out)
+        assert shard.shard_id in checkpoint.completed
 
 
 class TestRetryBudget:

@@ -1,26 +1,33 @@
-"""Sweep-level pattern artifacts and artifact-store eviction.
+"""Figure 7 patterns on demand, per-object key caches and
+artifact-store eviction.
 
-Covers the tentpole seeding path — per-model canonical pattern tables
-computed once, stored by content digest, and seeded into each
-composition's :class:`~repro.core.pattern_cache.PatternCache` — plus
-the store's LRU eviction policy.
+Compositions derive the canonical pattern of an expression the first
+time they compare it, through one
+:class:`~repro.core.pattern_cache.PatternCache` per sweep or session;
+no per-model pattern table is computed, stored or seeded.
 """
 
+import hashlib
+import importlib
+import json
 import os
 import time
 
-import pytest
-
-from repro import ComposeSession, ModelBuilder, match_all
+from repro import ComposeSession, ModelBuilder, match_all, write_sbml
 from repro.core.artifact_store import (
     ArtifactStore,
     compute_artifacts,
     model_digest,
 )
-from repro.core.match_all import _PairEngine
-from repro.core.pattern_cache import PatternCache, model_pattern_table
+from repro.core.match_all import _PairEngine, match_query
+from repro.core.pattern_cache import PatternCache
 from repro.core.session import stable_labels
-from repro.mathml import canonical_pattern, parse_infix
+from repro.corpus import generate_corpus
+from repro.mathml import canonical_pattern
+
+# ``repro.core`` re-exports functions that shadow some submodules.
+match_all_module = importlib.import_module("repro.core.match_all")
+pattern_cache_module = importlib.import_module("repro.core.pattern_cache")
 
 
 def _model(model_id="m", formula="k * A", k=0.5):
@@ -35,51 +42,29 @@ def _model(model_id="m", formula="k * A", k=0.5):
     )
 
 
-class TestModelPatternTable:
-    def test_covers_model_math(self):
-        model = _model()
-        table = model_pattern_table(model)
-        law = model.reactions[0].kinetic_law.math
-        assert table[law.digest()] == canonical_pattern(law)
+def _chain_corpus():
+    return generate_corpus(8, seed=3)
 
-    def test_covers_law_comparison_form(self):
-        # Reaction equality probes the locals-substituted law, not the
-        # raw one; the table must cover that form too.
-        model = _model()
-        table = model_pattern_table(model)
-        substituted = parse_infix("0.5 * A")
-        assert table[substituted.digest()] == canonical_pattern(substituted)
 
-    def test_pure_function_of_model(self):
-        assert model_pattern_table(_model()) == model_pattern_table(_model())
+def _rows_digest(outcomes):
+    rows = json.dumps(
+        [list(outcome.key()) for outcome in outcomes],
+        sort_keys=True,
+        default=str,
+    )
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+#: Outcomes of ``match_all`` and of a tree-plan session over
+#: ``generate_corpus(8, seed=3)``, recorded from the version that
+#: seeded every composition with per-model pattern tables: deriving
+#: patterns on demand must not change a single outcome.
+SWEEP_ROWS = "312d947f43cc1a7aebeac2f0d823d51f54a21e91c5c41da3faa87d4caa1c1d92"
+SESSION_SBML = "a0038b257a8e30b13abf9059550f85f7a9b3dd71c5cc8d740ee292801f992559"
 
 
 class TestSeededPatternCache:
-    def test_seeded_probe_is_a_hit(self):
-        model = _model()
-        law = model.reactions[0].kinetic_law.math
-
-        unseeded = PatternCache()
-        unseeded.pattern(law, {})
-        assert unseeded.hits == 0 and unseeded.misses == 1
-
-        seeded = PatternCache()
-        seeded.seed(model_pattern_table(model))
-        result = seeded.pattern(law, {})
-        # Strictly more hits than the unseeded cache for the same
-        # probe sequence — the satellite's invariant.
-        assert seeded.hits == 1 and seeded.misses == 0
-        assert seeded.hits > unseeded.hits
-        assert result == canonical_pattern(law)
-
-    def test_seeding_is_idempotent_and_lossless(self):
-        table = model_pattern_table(_model())
-        cache = PatternCache()
-        first = cache.seed(table)
-        second = cache.seed(table)
-        assert first == len(table)
-        assert second == 0
-        assert cache.seeded == len(table)
+    """The cache keys by structural digest and mapping restriction."""
 
     def test_structurally_equal_copies_share_entries(self):
         # Digest keys: a model copy's math (same objects or not) hits
@@ -95,40 +80,14 @@ class TestSeededPatternCache:
         model = _model()
         law = model.reactions[0].kinetic_law.math
         cache = PatternCache()
-        cache.seed(model_pattern_table(model))
         mapped = cache.pattern(law, {"A": "glc"})
         assert mapped == canonical_pattern(law, {"A": "glc"})
         assert mapped != cache.pattern(law, {})
 
 
 class TestSweepSeeding:
-    def test_pair_engine_seeds_from_artifacts(self):
-        models = [
-            _model("a"),
-            _model("b", k=0.25),
-        ]
-        engine = _PairEngine(None, models, stable_labels(models))
-        engine.run_pairs([(0, 0), (0, 1), (1, 1)])
-        assert engine.pattern_cache.seeded > 0
-        # The sweep's empty-restriction probes land on seeded entries:
-        # strictly more hits than a cold, unseeded cache would see.
-        assert engine.pattern_cache.hits > 0
-
-    def test_artifacts_carry_patterns_through_store(self, tmp_path):
-        model = _model()
-        store = ArtifactStore(tmp_path / "artifacts")
-        digest = model_digest(model)
-        store.put(digest, compute_artifacts(model))
-        rehydrated = store.get(digest)
-        assert rehydrated is not None
-        assert rehydrated.patterns == model_pattern_table(model)
-
-    def test_session_seeds_cache_from_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        a, b = _model("a"), _model("b", k=0.25)
-        session = ComposeSession(artifact_store=store)
-        session.compose(a, b)
-        assert session._composer._cache.seeded > 0
+    """With or without an artifact store, a sweep reaches the same
+    rows."""
 
     def test_seeding_changes_no_outcome(self, tmp_path):
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
@@ -137,6 +96,140 @@ class TestSweepSeeding:
         assert [o.key() for o in with_store.outcomes] == [
             o.key() for o in plain.outcomes
         ]
+
+
+class TestOnDemandPatterns:
+    """Patterns are derived the first time a composition probes an
+    expression; nothing derives the patterns of a whole model."""
+
+    def _query_models(self):
+        # The query shares one reaction (same species, another rate
+        # constant) with the first candidate and nothing with the
+        # others, so the run compares exactly one pair of laws.
+        def model(model_id, species, formula, k):
+            builder = ModelBuilder(model_id).compartment("cell", size=1.0)
+            for name in species:
+                builder = builder.species(name, 1.0)
+            for index, (left, right) in enumerate(zip(species, species[1:])):
+                builder = builder.reaction(
+                    f"{model_id}_r{index}",
+                    [left],
+                    [right],
+                    formula=formula.format(s=left),
+                    local_parameters={"k": k + index},
+                )
+            return builder.build()
+
+        query = model("q", ["A", "B", "C", "D"], "k * {s}", 0.5)
+        candidates = [
+            model("c0", ["A", "B"], "k * {s}", 0.25),
+            model("c1", ["E", "F", "G", "H"], "k * {s} / (1 + {s})", 0.1),
+            model("c2", ["I", "J", "K"], "k * {s} * {s}", 0.2),
+        ]
+        return query, candidates
+
+    def test_match_query_derives_only_compared_patterns(self, monkeypatch):
+        query, candidates = self._query_models()
+        probed = []
+        caches = []
+
+        class Recording(PatternCache):
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+            def pattern(self, math, mapping):
+                probed.append(math.digest())
+                return super().pattern(math, mapping)
+
+        monkeypatch.setattr(match_all_module, "PatternCache", Recording)
+        matrix = match_query(query, candidates)
+        assert [o.united for o in matrix.outcomes][0] > 0
+        (cache,) = caches
+        compared = {
+            cache.law_comparison_math(
+                reaction.kinetic_law.math,
+                tuple(
+                    sorted(
+                        (p.id, p.value) for p in reaction.kinetic_law.parameters
+                    )
+                ),
+            ).digest()
+            for reaction in (query.reactions[0], candidates[0].reactions[0])
+        }
+        assert set(probed) == compared
+        assert cache.misses == len(compared) == 2
+        carried = sum(
+            len(list(model.all_math())) for model in [query, *candidates]
+        )
+        assert carried == 9
+
+    def test_unprobed_expressions_cost_nothing(self, monkeypatch):
+        # Disjoint models: no reaction matches, so no law is compared
+        # and no pattern is derived at all.
+        query, candidates = self._query_models()
+        derived = []
+        monkeypatch.setattr(
+            pattern_cache_module,
+            "canonical_pattern",
+            lambda math, mapping=None: derived.append(math) or "p",
+        )
+        match_query(query, candidates[1:])
+        assert derived == []
+
+    def test_artifacts_carry_no_patterns(self):
+        artifacts = compute_artifacts(_model())
+        assert not hasattr(artifacts, "patterns")
+
+    def _store_with_legacy_tables(self, root, models):
+        """Entries as writers that stored pattern tables laid them
+        out — with tables that would make every kinetic law look
+        equal, so any consumer that read them would change outcomes."""
+        store = ArtifactStore(root)
+        for model in models:
+            artifacts = compute_artifacts(model)
+            artifacts.patterns = {
+                math.digest(): "same" for math in model.all_math()
+            }
+            store.put(model_digest(model), artifacts)
+        return store
+
+    def test_legacy_entry_is_a_hit_with_identical_outcomes(self, tmp_path):
+        models = _chain_corpus()
+        root = tmp_path / "artifacts"
+        store = self._store_with_legacy_tables(root, models)
+        blobs = {path: path.read_bytes() for path in root.glob("??/*.pkl")}
+        rehydrated = store.get(model_digest(models[0]))
+        assert rehydrated is not None and store.stats()["hits"] == 1
+        assert not hasattr(rehydrated, "patterns")
+
+        sweep = match_all(models, store=root)
+        assert _rows_digest(sweep.outcomes) == SWEEP_ROWS
+        session = ComposeSession(artifact_store=ArtifactStore(root))
+        merged = session.compose_all(models, plan="tree").model
+        assert (
+            hashlib.sha256(write_sbml(merged).encode()).hexdigest()
+            == SESSION_SBML
+        )
+        # Every read was a hit: no entry was recomputed and rewritten.
+        assert {
+            path: path.read_bytes() for path in root.glob("??/*.pkl")
+        } == blobs
+
+    def test_sweep_and_session_outcomes_unchanged(self, tmp_path):
+        models = _chain_corpus()
+        assert _rows_digest(match_all(models).outcomes) == SWEEP_ROWS
+        cold = match_all(models, store=tmp_path / "artifacts")
+        warm = match_all(models, store=tmp_path / "artifacts")
+        assert _rows_digest(cold.outcomes) == SWEEP_ROWS
+        assert _rows_digest(warm.outcomes) == SWEEP_ROWS
+        for cache_patterns in (True, False):
+            session = ComposeSession(cache_patterns=cache_patterns)
+            merged = session.compose_all(models, plan="tree").model
+            assert (
+                hashlib.sha256(write_sbml(merged).encode()).hexdigest()
+                == SESSION_SBML
+            )
 
 
 class TestPerObjectCacheDiscipline:
@@ -186,8 +279,7 @@ class TestPerObjectCacheDiscipline:
 
     def test_patternless_sweep_skips_pattern_tables(self):
         # With use_math_patterns off, math_key never consults the
-        # cache, so the engine must not pay for per-model pattern
-        # tables (no store attached — nothing to share them with).
+        # cache, so the engine derives no pattern at all.
         from repro.core.options import ComposeOptions
 
         models = self._chain()
@@ -197,7 +289,8 @@ class TestPerObjectCacheDiscipline:
             stable_labels(models),
         )
         engine.run_pairs([(0, 1), (2, 3)])
-        assert engine.pattern_cache.seeded == 0
+        assert engine.pattern_cache.misses == 0
+        assert engine.pattern_cache.hits == 0
 
 
 class TestEventRuleKeyCaches:
@@ -372,5 +465,5 @@ class TestEviction:
         store.evict(max_entries=0)
         assert digest not in store
         artifacts = store.get_or_compute(model, digest)
-        assert artifacts.patterns == model_pattern_table(model)
+        assert artifacts.sbml == write_sbml(model)
         assert digest in store

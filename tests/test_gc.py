@@ -3,11 +3,12 @@
 ``repro._gc.gc_paused`` turns automatic collection off for one unit —
 one parse, one digest, one artifact build, one pair, one fold step —
 and restores the caller's collector state afterwards.  The pause is
-safe only because such a unit leaves no (or a fixed handful of)
-cyclic garbage behind, however large its model: these tests pin both
-the state contract and that bound.
+safe only because such a unit leaves no cyclic garbage behind,
+however large its model: these tests pin both the state contract and
+that bound.
 """
 
+import functools
 import gc
 
 import numpy as np
@@ -110,6 +111,7 @@ def _entry_points(pair, tmp_path):
     index = CorpusIndex()
     index.add(right)
     index.save(tmp_path / "index")
+    session = ComposeSession()
     return {
         "read_sbml": lambda: read_sbml(text),
         "read_sbml_file": lambda: read_sbml_file(path),
@@ -122,6 +124,9 @@ def _entry_points(pair, tmp_path):
         "CorpusIndex.add": lambda: CorpusIndex().add(left),
         "match_query": lambda: match_query(left, [right]),
         "fold step": lambda: ComposeSession().compose_all([left, right]),
+        "ComposeSession._leaf_value": lambda: session._leaf_value(
+            [left, right], ["left", "right"], 0
+        ),
     }
 
 
@@ -137,6 +142,7 @@ ENTRY_POINTS = (
     "CorpusIndex.add",
     "match_query",
     "fold step",
+    "ComposeSession._leaf_value",
 )
 
 
@@ -190,6 +196,9 @@ def _bound_units(pair, tmp_path):
     index = CorpusIndex()
     index.add(right)
     index.save(tmp_path / "index")
+    leaf_value = functools.partial(
+        ComposeSession()._leaf_value, [left, right], ["left", "right"]
+    )
     return {
         "read_sbml": (read_sbml, write_sbml(left)),
         "write_sbml": (write_sbml, left),
@@ -198,6 +207,7 @@ def _bound_units(pair, tmp_path):
         "CorpusIndex.load": (CorpusIndex.load, tmp_path / "index"),
         "CorpusIndex.query": (index.query, signature),
         "CorpusIndex.add": (CorpusIndex().add, left),
+        "ComposeSession._leaf_value": (leaf_value, 0),
     }
 
 
@@ -211,6 +221,7 @@ def _bound_units(pair, tmp_path):
         "CorpusIndex.load",
         "CorpusIndex.query",
         "CorpusIndex.add",
+        "ComposeSession._leaf_value",
     ],
 )
 def test_units_run_without_automatic_collections(
@@ -258,13 +269,12 @@ def _unreachable_after(call):
     "name, bound",
     [
         ("read_sbml", 0),
-        # ET.indent's recursive inner function is a reference cycle:
-        # one per serialisation, the same for any model size.
-        ("write_sbml", 6),
-        ("compute_artifacts", 6),
+        ("write_sbml", 0),
+        ("compute_artifacts", 0),
         ("ModelSignature.build", 0),
         ("match_query", 0),
         ("fold step", 0),
+        ("ComposeSession._leaf_value", 0),
     ],
 )
 def test_paused_units_leave_bounded_cyclic_garbage(name, bound, tmp_path):
